@@ -6,13 +6,20 @@ exponents below the order are exactly as stored, everything at or above it is
 unknown.  All arithmetic tracks the largest truncation order that the inputs
 justify, so a verified identity is a genuine coefficient-by-coefficient
 statement, never a float comparison.
+
+The product sides of the identities and the character models are eta
+quotients, prod_d prod_k (1 - t^(dk))^(e_d) on a grid t = q^(1/denom).  They
+are computed on dense `int` lists by exact recurrences (log-derivative for the
+quotients, J. C. P. Miller's for powers) and only then wrapped as series.
+Orders above `MAX_ORDER` are refused.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from math import gcd, lcm
+from operator import add, mul
+from typing import Dict, List, Optional, Tuple, Union
 
 __all__ = [
     "PuiseuxSeries",
@@ -23,22 +30,20 @@ __all__ = [
     "CHARACTER_MODELS",
     "IDENTITY_NAMES",
     "DEFAULT_DENOM",
+    "MAX_ORDER",
 ]
 
 Rational = Union[int, Fraction]
 
 DEFAULT_DENOM = 8
 
+# Largest truncation order accepted by `character` and `identity_sides`; the
+# product sides cost O(order^2) big-integer steps.
+MAX_ORDER = 2000
+
 
 class SeriesError(ValueError):
     """Raised for invalid series operations (inverting zero, bad orders)."""
-
-
-def _gcd_all(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
 
 
 class PuiseuxSeries:
@@ -55,7 +60,7 @@ class PuiseuxSeries:
         if denom < 1:
             raise SeriesError("exponent denominator must be positive")
         clean = {e: Fraction(c) for e, c in coeffs.items() if e < order and c != 0}
-        g = gcd(_gcd_all(clean), gcd(order if order > 0 else 0, denom))
+        g = gcd(*clean, order if order > 0 else 0, denom)
         if g > 1 and order % g == 0 and all(e % g == 0 for e in clean):
             denom //= g
             order //= g
@@ -81,12 +86,7 @@ class PuiseuxSeries:
         cls, terms: Dict[Rational, Rational], order: Rational
     ) -> "PuiseuxSeries":
         """Build from a map of fractional exponents to coefficients."""
-        denom = 1
-        for e in terms:
-            denom = denom * Fraction(e).denominator // gcd(denom, Fraction(e).denominator)
-        denom = denom * Fraction(order).denominator // gcd(
-            denom, Fraction(order).denominator
-        )
+        denom = lcm(*(Fraction(e).denominator for e in terms), Fraction(order).denominator)
         coeffs = {int(Fraction(e) * denom): Fraction(c) for e, c in terms.items()}
         return cls(denom, coeffs, int(Fraction(order) * denom))
 
@@ -138,7 +138,7 @@ class PuiseuxSeries:
 
     @staticmethod
     def _common_denom(a: "PuiseuxSeries", b: "PuiseuxSeries") -> int:
-        return a.denom * b.denom // gcd(a.denom, b.denom)
+        return lcm(a.denom, b.denom)
 
     # -- ring operations --------------------------------------------------------
 
@@ -248,7 +248,7 @@ class PuiseuxSeries:
         target = Fraction(order)
         if target > self.order_exponent:
             raise SeriesError("cannot extend a truncated series")
-        denom = self.denom * target.denominator // gcd(self.denom, target.denominator)
+        denom = lcm(self.denom, target.denominator)
         coeffs, _ = self._scaled_to(denom)
         return PuiseuxSeries(denom, coeffs, int(target * denom))
 
@@ -340,10 +340,128 @@ def _delta(order: int) -> PuiseuxSeries:
     return PuiseuxSeries(1, coeffs, order)
 
 
-def _phi_inverse_power(power: int, order_num: int, denom: int = 1) -> PuiseuxSeries:
-    """phi(q)^(-power) known for exponents < order_num/denom."""
-    need = order_num // denom + 1
-    return (euler_phi(need).inverse() ** power).truncate(Fraction(order_num, denom))
+def _check_order(order: int, least: int) -> None:
+    if order < least:
+        raise SeriesError(f"order must be >= {least}")
+    if order > MAX_ORDER:
+        raise SeriesError(f"order {order} exceeds the bound MAX_ORDER = {MAX_ORDER}")
+
+
+# ---------------------------------------------------------------------------
+# integer eta quotients
+#
+# Coefficients live in dense int lists: index k holds the coefficient of t^k.
+# Every division in a recurrence must be exact; a remainder means a wrong
+# input, so it raises rather than rounding.
+
+
+def _exact_div(num: int, den: int) -> int:
+    quot, rem = divmod(num, den)
+    if rem:
+        raise SeriesError(f"inexact division {num}/{den} in a series recurrence")
+    return quot
+
+
+def _eta_quotient(exps: Dict[int, int], n: int) -> List[int]:
+    """First n coefficients of prod_d prod_{k>=1} (1 - t^(dk))^exps[d].
+
+    Log-derivative recurrence k a_k = -sum_{m=1..k} c_m a_(k-m) with
+    c_m = sum_{d | m} e_d d sigma(m/d); for exps = {1: -1} it is Euler's
+    k p(k) = sum sigma(m) p(k-m).
+    """
+    if any(d < 1 for d in exps):
+        raise SeriesError("eta-quotient steps d must be >= 1")
+    g = gcd(*exps)
+    if g > 1:  # a series in t^g: run on the coarse grid, then spread out
+        a = [0] * n
+        a[::g] = _eta_quotient({d // g: e for d, e in exps.items()}, -(-n // g))
+        return a
+    sigma = [0] * n
+    for j in range(1, n):
+        for m in range(j, n, j):
+            sigma[m] += j
+    c = [0] * n
+    for d, e in exps.items():
+        for j in range(1, (n - 1) // d + 1):
+            c[d * j] += e * d * sigma[j]
+    a = [0] * n
+    if n:
+        a[0] = 1
+    for k in range(1, n):
+        a[k] = _exact_div(-sum(map(mul, c[1 : k + 1], a[k - 1 :: -1])), k)
+    return a
+
+
+def _power(coeffs: List[int], k: int, n: int) -> List[int]:
+    """First n coefficients of P^k, P = sum coeffs[j] t^j with P(0) = 1.
+
+    J. C. P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7):
+    m Q_m = sum_{j=1..m} ((k+1) j - m) p_j Q_(m-j).  Only nonzero p_j enter.
+    """
+    if not coeffs or coeffs[0] != 1:
+        raise SeriesError("power recurrence needs P(0) = 1")
+    steps = [(j, c) for j, c in enumerate(coeffs) if j and c]
+    q = [0] * n
+    if n:
+        q[0] = 1
+    for m in range(1, n):
+        acc = 0
+        for j, c in steps:
+            if j > m:
+                break
+            acc += ((k + 1) * j - m) * c * q[m - j]
+        q[m] = _exact_div(acc, m)
+    return q
+
+
+def _convolve(a: List[int], b: List[int], n: int) -> List[int]:
+    """First n coefficients of a * b, looping over the sparser factor's terms."""
+    if sum(map(bool, a)) < sum(map(bool, b)):
+        a, b = b, a
+    out = [0] * n
+    for e, c in enumerate(b[:n]):
+        if c:
+            seg = a[: n - e]
+            end = e + len(seg)
+            out[e:end] = map(add, out[e:end], [c * x for x in seg])
+    return out
+
+
+def _int_coeffs(series: PuiseuxSeries, denom: int, n: int) -> List[int]:
+    """The first n integer coefficients of a series on the grid q^(1/denom)."""
+    if denom % series.denom:
+        raise SeriesError(f"denominator {series.denom} does not divide {denom}")
+    coeffs, _ = series._scaled_to(denom)
+    dense = [0] * n
+    for e, c in coeffs.items():
+        if e < 0 or c.denominator != 1:
+            raise SeriesError("series needs integral coefficients at exponents >= 0")
+        if e < n:
+            dense[e] = int(c)
+    return dense
+
+
+def _from_grid(coeffs: List[int], denom: int, shift: Rational, order: int) -> PuiseuxSeries:
+    """sum_k coeffs[k] q^((k + shift)/denom) + O(q^order)."""
+    shift = Fraction(shift)
+    scale = denom * shift.denominator
+    terms = {k * shift.denominator + shift.numerator: c for k, c in enumerate(coeffs) if c}
+    return PuiseuxSeries(scale, terms, order * scale)
+
+
+def _eta_side(
+    exps: Dict[int, int],
+    denom: int,
+    shift: Rational,
+    order: int,
+    factor: Optional[List[int]] = None,
+) -> PuiseuxSeries:
+    """q^(shift/denom) * eta quotient in t = q^(1/denom) [* factor(t)] + O(q^order)."""
+    n = max(0, -((shift - order * denom) // 1))  # grid points with (k + shift)/denom < order
+    coeffs = _eta_quotient(exps, n)
+    if factor is not None:
+        coeffs = _convolve(coeffs, factor, n)
+    return _from_grid(coeffs, denom, shift, order)
 
 
 CHARACTER_MODELS = ("sl2_m32", "sl2_m4", "weyl_M3", "delta")
@@ -354,42 +472,35 @@ def character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeries:
 
     sl2_m32: q^(3/8) phi^-3 (ell+1) q^(ell(ell+2)/2) — lowest exponent
         3/8 + ell(ell+2)/2.
-    sl2_m4:  q^(-1/4) phi^-3 sum_{i=0..ell} (-1)^(ell-i) (2i+1) q^(-i(i+1)/2).
+    sl2_m4:  q^(-1/4) phi^-3 sum_{i=0..ell} (-1)^(ell-i) (2i+1) q^(-i(i+1)/2);
+        it spans order + ell(ell+1)/2 integer steps, which must not exceed
+        MAX_ORDER.
     weyl_M3: q^(1/8) (phi(q)/phi(q^(1/2)))^6, the rank-three free-field
         character; ell is ignored.
     delta:   the triangular series sum q^(n(n+1)/2); ell is ignored.
     """
     if model not in CHARACTER_MODELS:
         raise SeriesError(f"unknown character model {model!r}")
-    if order < 1:
-        raise SeriesError("order must be >= 1")
+    _check_order(order, 1)
     if model == "delta":
         return _delta(order)
     if model == "weyl_M3":
-        phi = euler_phi(order)
-        phi_half = euler_phi(2 * order).substitute(1, 2)
-        ratio = phi * phi_half.inverse()
-        series = ratio**6 * PuiseuxSeries.monomial(Fraction(1, 8), 1, order + 1)
-        return series.truncate(order)
+        return _eta_side({1: -6, 2: 6}, 2, Fraction(1, 4), order)
     if ell < 0:
         raise SeriesError("ell must be >= 0")
     if model == "sl2_m32":
         shift = Fraction(3, 8) + Fraction(ell * (ell + 2), 2)
-        body = _phi_inverse_power(3, order) * Fraction(ell + 1)
-        series = body * PuiseuxSeries.monomial(shift, 1, order + shift)
-        return series.truncate(order)
-    # sl2_m4
+        return _eta_side({1: -3}, 1, shift, order, [ell + 1])
+    # sl2_m4, moved up by q^drop so that the polynomial has grid indices >= 0
     drop = ell * (ell + 1) // 2
-    poly = PuiseuxSeries.from_terms(
-        {
-            -Fraction(i * (i + 1), 2): Fraction((-1) ** (ell - i) * (2 * i + 1))
-            for i in range(ell + 1)
-        },
-        order + drop + 1,
-    )
-    body = _phi_inverse_power(3, order + drop + 1) * poly
-    series = body * PuiseuxSeries.monomial(Fraction(-1, 4), 1, order + drop + 1)
-    return series.truncate(order)
+    if order + drop > MAX_ORDER:
+        raise SeriesError(
+            f"sl2_m4 at ell={ell} spans order + {drop}, above MAX_ORDER = {MAX_ORDER}"
+        )
+    poly = [0] * (drop + 1)
+    for i in range(ell + 1):
+        poly[drop - i * (i + 1) // 2] = (-1) ** (ell - i) * (2 * i + 1)
+    return _eta_side({1: -3}, 1, Fraction(-1, 4) - drop, order, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -458,29 +569,23 @@ def identity_sides(which: str, order: int) -> Tuple[PuiseuxSeries, PuiseuxSeries
     """
     if which not in IDENTITY_NAMES:
         raise SeriesError(f"unknown identity {which!r}")
-    if order < 4:
-        raise SeriesError("order must be >= 4")
+    _check_order(order, 4)
     if which == "delta_eta":
-        lhs = _delta(order)
-        phi = euler_phi(order)
-        rhs = euler_phi(order).substitute(2, 1) ** 2 * phi.inverse()
-        return lhs, rhs.truncate(order)
+        return _delta(order), _eta_side({1: -1, 2: 2}, 1, 0, order)
     if which == "eq92":
-        phi = euler_phi(order)
-        phi_half = euler_phi(2 * order).substitute(1, 2)
-        lhs = phi**12 * phi_half.inverse() ** 6
-        return lhs.truncate(order), _signed_double_sum(order)
+        return _eta_side({1: -6, 2: 12}, 2, 0, order), _signed_double_sum(order)
     if which == "kw":
-        return _delta(order) ** 6, _kw_sum(order)
+        triangular = _int_coeffs(_delta(order), 1, order)
+        return _from_grid(_power(triangular, 6, order), 1, 0, order), _kw_sum(order)
     # thm92: the free-field character against the sl(2)-character pairing.
     # Each product sl2_m32(l) * sl2_m4(l) equals q^(1/8) phi^-6 times the
     # l-th slice of the signed double sum, so the right side is assembled
     # from that closed form; the slice-by-slice equality with the literal
     # character products is a separate test.
     lhs = character("weyl_M3", 0, order)
-    rhs = _phi_inverse_power(6, order) * _signed_double_sum(order)
-    rhs = rhs * PuiseuxSeries.monomial(Fraction(1, 8), 1, order + 1)
-    return lhs, rhs.truncate(order)
+    pairing = _int_coeffs(_signed_double_sum(order), 2, 2 * order)
+    rhs = _eta_side({2: -6}, 2, Fraction(1, 4), order, pairing)
+    return lhs, rhs
 
 
 def verify_identity(which: str, order: int) -> Tuple[bool, Optional[Fraction]]:

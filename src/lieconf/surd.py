@@ -173,6 +173,8 @@ class QuadraticNumber:
         return self == other or self < other
 
     def __hash__(self):
+        if self.q == 0:  # equal to the rational p, so hash like it
+            return hash(self.p)
         return hash((self.p, self.q, self.d))
 
     def __bool__(self):

@@ -3,8 +3,9 @@
 Each oracle recomputes a quantity from first principles along a different
 algorithmic route than the library: alternating Weyl-orbit sums check
 character data, a quadratic-time Euler product checks the pentagonal-number
-expansion, and a convolve-and-peel decomposition checks the tensor-product
-path.  They are deliberately slow and simple.
+expansion, a convolve-and-peel decomposition checks the tensor-product path,
+and `Fraction`-dict series products check the integer eta-quotient
+recurrences of the character models and identity sides.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -13,6 +14,16 @@ from fractions import Fraction
 from typing import Dict, Sequence, Tuple
 
 from lieconf.liealg import SimpleAlgebra
+from lieconf.qseries import (
+    CHARACTER_MODELS,
+    IDENTITY_NAMES,
+    PuiseuxSeries,
+    SeriesError,
+    _delta,
+    _kw_sum,
+    _signed_double_sum,
+    euler_phi,
+)
 from lieconf.reps import freudenthal_weights
 
 Coords = Tuple[int, ...]
@@ -117,3 +128,73 @@ def peel_tensor(alg: SimpleAlgebra, lam: Coords, mu: Coords) -> Dict[Coords, int
             else:
                 prod.pop(w, None)
     return components
+
+
+# ---------------------------------------------------------------------------
+# series: the product sides built by Fraction-dict multiply, inverse and pow
+
+
+def _phi_inverse_power(power: int, order_num: int, denom: int = 1) -> PuiseuxSeries:
+    """phi(q)^(-power) known for exponents < order_num/denom."""
+    need = order_num // denom + 1
+    return (euler_phi(need).inverse() ** power).truncate(Fraction(order_num, denom))
+
+
+def fraction_character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeries:
+    """The character models of `lieconf.qseries.character`, by series products."""
+    if model not in CHARACTER_MODELS:
+        raise SeriesError(f"unknown character model {model!r}")
+    if order < 1:
+        raise SeriesError("order must be >= 1")
+    if model == "delta":
+        return _delta(order)
+    if model == "weyl_M3":
+        phi = euler_phi(order)
+        phi_half = euler_phi(2 * order).substitute(1, 2)
+        ratio = phi * phi_half.inverse()
+        series = ratio**6 * PuiseuxSeries.monomial(Fraction(1, 8), 1, order + 1)
+        return series.truncate(order)
+    if ell < 0:
+        raise SeriesError("ell must be >= 0")
+    if model == "sl2_m32":
+        shift = Fraction(3, 8) + Fraction(ell * (ell + 2), 2)
+        body = _phi_inverse_power(3, order) * Fraction(ell + 1)
+        series = body * PuiseuxSeries.monomial(shift, 1, order + shift)
+        return series.truncate(order)
+    # sl2_m4
+    drop = ell * (ell + 1) // 2
+    poly = PuiseuxSeries.from_terms(
+        {
+            -Fraction(i * (i + 1), 2): Fraction((-1) ** (ell - i) * (2 * i + 1))
+            for i in range(ell + 1)
+        },
+        order + drop + 1,
+    )
+    body = _phi_inverse_power(3, order + drop + 1) * poly
+    series = body * PuiseuxSeries.monomial(Fraction(-1, 4), 1, order + drop + 1)
+    return series.truncate(order)
+
+
+def fraction_identity_sides(which: str, order: int) -> Tuple[PuiseuxSeries, PuiseuxSeries]:
+    """The (left, right) sides of `lieconf.qseries.identity_sides`, by series
+    products; the direct sums on the right are shared with the package."""
+    if which not in IDENTITY_NAMES:
+        raise SeriesError(f"unknown identity {which!r}")
+    if order < 4:
+        raise SeriesError("order must be >= 4")
+    if which == "delta_eta":
+        lhs = _delta(order)
+        phi = euler_phi(order)
+        rhs = euler_phi(order).substitute(2, 1) ** 2 * phi.inverse()
+        return lhs, rhs.truncate(order)
+    if which == "eq92":
+        phi = euler_phi(order)
+        phi_half = euler_phi(2 * order).substitute(1, 2)
+        lhs = phi**12 * phi_half.inverse() ** 6
+        return lhs.truncate(order), _signed_double_sum(order)
+    if which == "kw":
+        return _delta(order) ** 6, _kw_sum(order)
+    lhs = fraction_character("weyl_M3", 0, order)
+    rhs = _phi_inverse_power(6, order) * _signed_double_sum(order)
+    rhs = rhs * PuiseuxSeries.monomial(Fraction(1, 8), 1, order + 1)
+    return lhs, rhs.truncate(order)

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -255,6 +256,21 @@ class TestQseries:
 
     def test_unknown_identity_is_a_usage_error(self):
         assert run(["qseries", "verify", "eq93", "--order", "20"])[0] == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["qseries", "verify", "eq92", "--order", "100000"],
+            ["qseries", "char", "weyl_M3", "--order", "100000"],
+            ["qseries", "char", "sl2_m4", "100", "--order", "10"],
+        ],
+    )
+    def test_order_above_the_bound_fails_at_once(self, argv):
+        start = time.perf_counter()
+        code, out, err = run(argv)
+        assert code == 2 and out == ""
+        assert "MAX_ORDER" in err
+        assert time.perf_counter() - start < 0.5
 
 
 class TestFlagsAndIO:

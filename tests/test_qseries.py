@@ -9,15 +9,16 @@ from hypothesis import assume, given, settings, strategies as st
 from lieconf.qseries import (
     CHARACTER_MODELS,
     IDENTITY_NAMES,
+    MAX_ORDER,
     PuiseuxSeries,
     character,
     euler_phi,
     identity_sides,
     verify_identity,
 )
-from lieconf.qseries import SeriesError
+from lieconf.qseries import SeriesError, _convolve, _eta_quotient, _exact_div, _power
 
-from oracles import naive_euler_product
+from oracles import fraction_character, fraction_identity_sides, naive_euler_product
 
 # partition numbers p(0), p(1), ...
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -343,3 +344,69 @@ class TestIdentities:
             verify_identity("eq93", 20)
         with pytest.raises(SeriesError):
             identity_sides("kw", 3)
+
+
+def _layout(series):
+    return series.denom, series.coeffs, series.order
+
+
+class TestIntegerEngine:
+    """The integer recurrences against the Fraction-dict series products."""
+
+    @pytest.mark.parametrize("order", [4, 5, 24, 61])
+    @pytest.mark.parametrize("name", IDENTITY_NAMES)
+    def test_identity_sides_match_the_fraction_oracle(self, name, order):
+        new, old = identity_sides(name, order), fraction_identity_sides(name, order)
+        assert [_layout(s) for s in new] == [_layout(s) for s in old]
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 8, 40])
+    @pytest.mark.parametrize("ell", [0, 1, 2, 3])
+    @pytest.mark.parametrize("model", CHARACTER_MODELS)
+    def test_character_models_match_the_fraction_oracle(self, model, ell, order):
+        assert _layout(character(model, ell, order)) == _layout(
+            fraction_character(model, ell, order)
+        )
+
+    @given(
+        st.dictionaries(st.integers(1, 4), st.integers(-6, 12), max_size=4),
+        st.integers(0, 40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_eta_quotient_matches_the_product_of_euler_factors(self, exps, n):
+        product = PuiseuxSeries.one(n + 1)
+        for d, e in exps.items():
+            phi = PuiseuxSeries(1, naive_euler_product(n + 1), n + 1)
+            product = (product * phi.substitute(d, 1) ** e).truncate(n + 1)
+        assert _eta_quotient(exps, n) == [product.coefficient(k) for k in range(n)]
+
+    @given(st.lists(st.integers(-5, 5), max_size=8), st.integers(0, 7), st.integers(0, 16))
+    @settings(max_examples=60, deadline=None)
+    def test_power_and_convolution_match_series_products(self, tail, k, n):
+        p = [1] + tail
+        series = PuiseuxSeries(1, dict(enumerate(p)), n + 1)
+        expected = [(series**k).coefficient(m) for m in range(n)]
+        assert _power(p, k, n) == expected
+        if k:
+            assert _convolve(p, _power(p, k - 1, n), n) == expected
+
+    def test_power_needs_constant_term_one(self):
+        with pytest.raises(SeriesError):
+            _power([2, 1], 2, 4)
+
+    def test_inexact_division_raises(self):
+        assert _exact_div(-12, 4) == -3
+        with pytest.raises(SeriesError):
+            _exact_div(7, 2)
+
+    def test_bad_eta_step_raises(self):
+        with pytest.raises(SeriesError):
+            _eta_quotient({0: 1}, 5)
+
+    def test_orders_above_the_bound_are_refused(self):
+        with pytest.raises(SeriesError, match="MAX_ORDER"):
+            identity_sides("kw", MAX_ORDER + 1)
+        with pytest.raises(SeriesError, match="MAX_ORDER"):
+            character("delta", 0, MAX_ORDER + 1)
+        with pytest.raises(SeriesError, match="MAX_ORDER"):
+            character("sl2_m4", 63, 1)  # spans 1 + 2016 integer steps
+        assert character("sl2_m32", 10**6, 5).is_zero()

@@ -68,6 +68,14 @@ class TestQuadraticNumber:
         assert quad(Fraction(5, 2), 0, 3) == Fraction(5, 2)
         assert quad(1, 1, 2) != 1
 
+    @given(rationals, radicands)
+    def test_rational_values_hash_like_the_rational(self, r, d):
+        # equal values must hash equally, so a set holds them once
+        for x in (QuadraticNumber(r), quad(r, 0, d), quad(r, 0, 1)):
+            assert x == r and hash(x) == hash(r)
+            assert len({x, r}) == 1
+        assert len({QuadraticNumber(r.numerator), r.numerator}) == 1
+
     def test_sign(self):
         assert quad(-3, 1, 2).sign() < 0  # -3 + sqrt(2) < 0
         assert quad(-1, 1, 2).sign() > 0  # -1 + sqrt(2) > 0
