@@ -22,6 +22,7 @@ from .reps import (
     casimir,
     dynkin_index,
     freudenthal_weights,
+    height_form,
     tensor_decompose,
     weyl_dim,
 )
@@ -179,9 +180,10 @@ def _cmd_rep(args) -> Handler:
         payload["index"] = str(dynkin_index(alg, lam, convention=args.convention))
     else:  # weights
         ws = freudenthal_weights(alg, lam)
+        form = height_form((alg,))
         items = sorted(
             ws.entries.items(),
-            key=lambda kv: (-alg.inner_product(kv[0], alg.rho), tuple(-c for c in kv[0])),
+            key=lambda kv: (-sum(c * t for c, t in zip(kv[0], form)), tuple(-c for c in kv[0])),
         )
         payload["title"] = f"weight system of L{lam} over {alg.type}"
         payload["dim"] = ws.total()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .liealg import (
@@ -19,6 +19,7 @@ from .liealg import (
     Coords,
     LieError,
     SimpleAlgebra,
+    SizeError,
     build_algebra,
     zero_weight,
 )
@@ -61,6 +62,12 @@ __all__ = [
 
 Rational = Union[int, Fraction]
 Level = Union[int, Fraction, QuadraticNumber, LevelSolution]
+
+# Caps on the classification searches.  The small-index scan stops at the
+# index threshold long before coordinate 100; the irreducible searches build
+# B_n and C_n for every n up to the rank bound (about 0.7 s at rank 20).
+MAX_SCAN_BOUND = 100
+MAX_SEARCH_RANK = 20
 
 
 def _as_number(k: Level) -> Union[Fraction, QuadraticNumber]:
@@ -173,10 +180,8 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
                 return roots
         if len(coeffs) <= 1:
             break
-        lcm = 1
-        for c in coeffs:
-            lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in coeffs]
+        scale = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * scale) for c in coeffs]
         found = None
         for p in _divisors(ints[0]):
             for q in _divisors(ints[-1]):
@@ -195,19 +200,11 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     return roots
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
 def _quadratic_solutions(coeffs: Sequence[Fraction]) -> List[LevelSolution]:
     """Roots of a quadratic with rational coefficients, as surds; [] if complex."""
     a, b, c = coeffs[2], coeffs[1], coeffs[0]
-    lcm = 1
-    for x in (a, b, c):
-        lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-    ai, bi, ci = int(a * lcm), int(b * lcm), int(c * lcm)
+    scale = lcm(a.denominator, b.denominator, c.denominator)
+    ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
     disc = bi * bi - 4 * ai * ci
     if disc < 0:
         return []
@@ -453,6 +450,9 @@ def _square_root_exact(n: int) -> Optional[int]:
 
 
 def _search_rows(max_rank: int) -> List[SimpleAlgebra]:
+    if max_rank > MAX_SEARCH_RANK:
+        raise SizeError(
+            f"rank bound {max_rank} exceeds the cap MAX_SEARCH_RANK = {MAX_SEARCH_RANK}")
     rows: List[SimpleAlgebra] = []
     for fam, lo in (("B", 2), ("C", 2)):
         for n in range(lo, max_rank + 1):
@@ -482,10 +482,8 @@ def search_so_irreducible(max_rank: int = 12) -> List[IrreducibleFinding]:
         a = lam2
         b = lam2 * d - lam2 - 2 * d * h
         c = 8 * d * h - 4 * lam2 * d
-        lcm = 1
-        for x in (a, b, c):
-            lcm = lcm * x.denominator // _gcd(lcm, x.denominator)
-        ai, bi, ci = int(a * lcm), int(b * lcm), int(c * lcm)
+        scale = lcm(a.denominator, b.denominator, c.denominator)
+        ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
         disc = bi * bi - 4 * ai * ci
         root = _square_root_exact(disc)
         if root is None:
@@ -551,6 +549,9 @@ def table1_scan(alg: Union[SimpleAlgebra, AlgebraType, str], coord_bound: int) -
     alg = build_algebra(alg)
     if coord_bound < 1:
         raise LieError("coord_bound must be at least 1")
+    if coord_bound > MAX_SCAN_BOUND:
+        raise SizeError(
+            f"coordinate bound {coord_bound} exceeds the cap MAX_SCAN_BOUND = {MAX_SCAN_BOUND}")
     n = alg.rank
     threshold = 2 * alg.dim * alg.dual_coxeter  # dim V * Casimir at the unit index
     hits: List[Coords] = []

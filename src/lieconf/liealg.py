@@ -1,17 +1,19 @@
 """Root systems and invariant bilinear forms of the finite-dimensional simple Lie algebras.
 
 Everything is exact: Cartan data over integers, the normalized invariant form
-(long roots of squared length 2) over `fractions.Fraction`.  Weights and roots
+(long roots of squared length 2) as an integer Gram matrix over one common
+denominator, with `fractions.Fraction` only at the public boundary.  Weights and roots
 are plain tuples of coordinates in the fundamental-weight basis; the owning
 algebra is always passed explicitly.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Sequence, Union
 
 Coords = tuple
 Rational = Union[int, Fraction]
@@ -21,9 +23,29 @@ _MAX_RANK = {"E": 8, "F": 4, "G": 2}
 
 _TYPE_RE = re.compile(r"^([A-Ga-g])\s*([0-9]+)$")
 
+# (dim, dual Coxeter number) as functions of the rank.
+_CLOSED_FORMS = {
+    "A": lambda n: (n * (n + 2), n + 1),
+    "B": lambda n: (n * (2 * n + 1), 2 * n - 1),
+    "C": lambda n: (n * (2 * n + 1), n + 1),
+    "D": lambda n: (n * (2 * n - 1), 2 * n - 2),
+    "E": {6: (78, 12), 7: (133, 18), 8: (248, 30)}.get,
+    "F": {4: (52, 9)}.get,
+    "G": {2: (14, 4)}.get,
+}
+
+# Largest rank whose Cartan data, form and root system are built.  The root
+# closure grows about as rank^3, and the largest ambient the paper's families
+# reach (so(144) = D72) stays below the cap.
+MAX_TABLE_RANK = 100
+
 
 class LieError(ValueError):
     """Domain error: unknown algebra type, malformed weight, or size-bound violation."""
+
+
+class SizeError(LieError):
+    """A computation would exceed a configured size cap."""
 
 
 @dataclass(frozen=True, order=True)
@@ -76,51 +98,23 @@ def _dynkin_data(fam: str, n: int) -> tuple[list[Fraction], list[tuple[int, int]
     raise LieError(f"unknown family {fam!r}")
 
 
-def _invert(matrix: Sequence[Sequence[Rational]]) -> list[list[Fraction]]:
-    """Exact Gauss-Jordan inverse of a small nonsingular matrix.
-
-    Integer matrices whose leading principal minors are all non-zero (Cartan
-    matrices qualify) take a fraction-free elimination path: every
-    intermediate value is an integer minor, so no gcd reduction happens until
-    the final division.  Other inputs fall back to rational Gauss-Jordan.
-    """
-    n = len(matrix)
-    ints = all(Fraction(x).denominator == 1 for row in matrix for x in row)
-    if ints:
-        result = _invert_integer([[int(x) for x in row] for row in matrix])
-        if result is not None:
-            return result
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def _invert_integer(matrix: list[list[int]]) -> Optional[list[list[Fraction]]]:
-    """Fraction-free Gauss-Jordan (Bareiss/Montante) inverse of an integer
-    matrix, or None when a zero pivot requires the pivoting fallback.
+def _invert_integer(matrix: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Adjugate and determinant of an integer matrix, so inverse = adj / det,
+    by fraction-free Gauss-Jordan (Bareiss/Montante) elimination.
 
     Each elimination step computes ``(pivot * a_ij - a_ik * a_kj) / prev``
     where the division by the previous pivot is exact (Sylvester's identity),
-    so intermediate values stay small integers.  The run leaves the left half
-    diagonal, with each augmented row i holding ``aug[i][i]`` times row i of
-    the true inverse.
+    so intermediate values stay small integers.  The run leaves every diagonal
+    entry equal to the determinant and the adjugate in the augmented half.
+    Every leading principal minor must be non-zero, as for Cartan matrices.
     """
     n = len(matrix)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     prev = 1
     for k in range(n):
         pivot = aug[k][k]
         if pivot == 0:
-            return None
+            raise LieError("zero leading principal minor in a Cartan matrix")
         row_k = aug[k]
         for i in range(n):
             if i == k:
@@ -130,20 +124,25 @@ def _invert_integer(matrix: list[list[int]]) -> Optional[list[list[Fraction]]]:
             for j in range(2 * n):
                 row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
         prev = pivot
-    return [
-        [Fraction(aug[i][n + j], aug[i][i]) for j in range(n)]
-        for i in range(n)
-    ]
+    return tuple(tuple(row[n:]) for row in aug), prev
 
 
 class SimpleAlgebra:
     """A simple Lie algebra with its root system and normalized invariant form.
 
+    ``dim``, ``dual_coxeter`` and ``num_positive`` come from closed forms, so
+    they cost nothing at any rank.  Every table below is built on first use,
+    and only up to rank ``MAX_TABLE_RANK``; building one checks the root
+    closure against the closed forms.
+
     Attributes
     ----------
+    d : half squared lengths (alpha_i, alpha_i)/2 of the simple roots.
     cartan : rows C[i][j] = 2(alpha_i, alpha_j)/(alpha_i, alpha_i); column j holds
         the fundamental-weight coordinates of the simple root alpha_j.
+    cartan_inv : C^{-1}, over Fraction; ``_adjugate`` holds it as (adj, det) over integers.
     form : Gram matrix F[i][j] = (omega_i, omega_j) of the fundamental weights.
+    gram / form_denom : the same form over integers, F = gram / form_denom.
     positive_roots_omega / positive_roots_alpha : aligned coordinate lists.
     theta / theta_short : highest root and highest short root (equal when simply laced).
     """
@@ -152,9 +151,31 @@ class SimpleAlgebra:
         self.type = typ
         self.family = typ.family
         self.rank = n = typ.rank
-        d, bonds = _dynkin_data(typ.family, n)
-        self.d = tuple(d)
+        self.dim, self.dual_coxeter = _CLOSED_FORMS[typ.family](n)
+        self.num_positive = (self.dim - n) // 2
+        self.iso_note = "isomorphic to A3" if (typ.family, n) == ("D", 3) else None
 
+    # -- tables, built on first use ------------------------------------------
+
+    def _table_rank(self) -> int:
+        if self.rank > MAX_TABLE_RANK:
+            raise SizeError(
+                f"{self.type}: rank {self.rank} exceeds the cap MAX_TABLE_RANK = "
+                f"{MAX_TABLE_RANK} on building roots and weight tables")
+        return self.rank
+
+    @cached_property
+    def d(self) -> tuple[Fraction, ...]:
+        return tuple(_dynkin_data(self.family, self._table_rank())[0])
+
+    @cached_property
+    def rho(self) -> Coords:
+        return (1,) * self._table_rank()
+
+    @cached_property
+    def cartan(self) -> tuple[tuple[int, ...], ...]:
+        d, bonds = _dynkin_data(self.family, self._table_rank())
+        n = self.rank
         pairing = [[Fraction(0)] * n for _ in range(n)]
         for i in range(n):
             pairing[i][i] = 2 * d[i]
@@ -163,33 +184,46 @@ class SimpleAlgebra:
             pairing[i][j] = pairing[j][i] = val
         cartan = [[pairing[i][j] / d[i] for j in range(n)] for i in range(n)]
         if any(x.denominator != 1 for row in cartan for x in row):
-            raise LieError(f"non-integral Cartan matrix for {typ}")
-        self.cartan = tuple(tuple(int(x) for x in row) for row in cartan)
-        self.cartan_columns = tuple(tuple(self.cartan[i][j] for i in range(n)) for j in range(n))
-        inv = _invert(self.cartan)
-        self.cartan_inv = tuple(tuple(row) for row in inv)
+            raise LieError(f"non-integral Cartan matrix for {self.type}")
+        return tuple(tuple(int(x) for x in row) for row in cartan)
+
+    @cached_property
+    def cartan_columns(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(zip(*self.cartan))
+
+    @cached_property
+    def _adjugate(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        return _invert_integer(self.cartan)
+
+    @cached_property
+    def cartan_inv(self) -> tuple[tuple[Fraction, ...], ...]:
+        adj, det = self._adjugate
+        return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
+
+    @cached_property
+    def form(self) -> tuple[tuple[Fraction, ...], ...]:
         # F = D * C^{-1}: (omega_i, omega_j), symmetric by construction.
-        self.form = tuple(tuple(d[i] * inv[i][j] for j in range(n)) for i in range(n))
-        self.rho = (1,) * n
+        return tuple(
+            tuple(di * x for x in row) for di, row in zip(self.d, self.cartan_inv)
+        )
 
-        self._close_roots()
+    @cached_property
+    def form_denom(self) -> int:
+        return math.lcm(*(x.denominator for row in self.form for x in row))
 
-        self.num_positive = len(self.positive_roots_alpha)
-        self.dim = n + 2 * self.num_positive
-        hv = self.inner_product(self.rho, self.theta) + 1
-        if hv.denominator != 1:
-            raise LieError(f"non-integral dual Coxeter number for {typ}")
-        self.dual_coxeter = int(hv)
-        self.iso_note = "isomorphic to A3" if (typ.family, n) == ("D", 3) else None
+    @cached_property
+    def gram(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(int(x * self.form_denom) for x in row) for row in self.form)
 
-    # -- construction ------------------------------------------------------
-
-    def _close_roots(self) -> None:
-        """Build all positive roots by closing the simple roots under root addition.
+    @cached_property
+    def _roots(self) -> tuple:
+        """Close the simple roots under root addition and check the result.
 
         For a root a and simple root alpha_i, a + alpha_i is a root iff
         p - <a, alpha_i^vee> >= 1 where p is the length of the alpha_i-string
         below a; <a, alpha_i^vee> is the i-th fundamental-weight coordinate.
+        Returns the positive roots in simple-root and in fundamental-weight
+        coordinates, theta and theta_short.
         """
         n = self.rank
         cols = self.cartan_columns
@@ -229,13 +263,19 @@ class SimpleAlgebra:
         alphas: list[tuple[int, ...]] = []
         for level in by_height:
             alphas.extend(sorted(level))
-        self.positive_roots_alpha = tuple(alphas)
-        self.positive_roots_omega = tuple(omega[a] for a in alphas)
+        if len(alphas) != self.num_positive:
+            raise LieError(
+                f"{self.type}: root closure gives {len(alphas)} positive roots, "
+                f"the closed form {self.num_positive}")
 
         top = by_height[h - 1]
         if len(top) != 1:
             raise LieError(f"highest root not unique for {self.type}")
-        self.theta = omega[top[0]]
+        theta = omega[top[0]]
+        hv = self.inner_product(self.rho, theta) + 1
+        if hv != self.dual_coxeter:  # also catches a non-integral (rho, theta)
+            raise LieError(
+                f"{self.type}: (rho, theta) + 1 = {hv}, the closed form gives {self.dual_coxeter}")
 
         # (a, a) < 2 tested integrally: 6*d_i is an integer for every family.
         d6 = [int(6 * di) for di in self.d]
@@ -244,16 +284,24 @@ class SimpleAlgebra:
             for a in alphas
             if sum(d6[j] * a[j] * omega[a][j] for j in range(n)) < 12
         ]
-        if shorts:
-            ht, a = max(shorts)
-            self.theta_short = omega[a]
-        else:
-            self.theta_short = self.theta
+        theta_short = omega[max(shorts)[1]] if shorts else theta
+        return tuple(alphas), tuple(omega[a] for a in alphas), theta, theta_short
 
-    def _alpha_to_omega(self, a: Sequence[int]) -> tuple[int, ...]:
-        cols = self.cartan_columns
-        n = self.rank
-        return tuple(sum(a[j] * cols[j][i] for j in range(n)) for i in range(n))
+    @property
+    def positive_roots_alpha(self) -> tuple[Coords, ...]:
+        return self._roots[0]
+
+    @property
+    def positive_roots_omega(self) -> tuple[Coords, ...]:
+        return self._roots[1]
+
+    @property
+    def theta(self) -> Coords:
+        return self._roots[2]
+
+    @property
+    def theta_short(self) -> Coords:
+        return self._roots[3]
 
     # -- basic operations ---------------------------------------------------
 
@@ -267,18 +315,11 @@ class SimpleAlgebra:
         """Normalized invariant form (lam, mu), both in fundamental-weight coordinates."""
         self.check_weight(lam)
         self.check_weight(mu)
-        F = self.form
-        total = Fraction(0)
-        for i, li in enumerate(lam):
+        total = 0
+        for li, row in zip(lam, self.gram):
             if li:
-                row = F[i]
-                total += li * sum(row[j] * mj for j, mj in enumerate(mu) if mj)
-        return total
-
-    def pair_root(self, lam: Sequence[Rational], alpha_coords: Sequence[int]) -> Fraction:
-        """(lam, alpha) for a root given by simple-root coordinates: sum_i lam_i d_i a_i."""
-        d = self.d
-        return sum(d[i] * a * lam[i] for i, a in enumerate(alpha_coords) if a)
+                total += li * sum(g * mj for g, mj in zip(row, mu) if mj)
+        return Fraction(total, self.form_denom)
 
     def reflect(self, w: Sequence[Rational], i: int) -> Coords:
         """Simple reflection s_i acting in fundamental-weight coordinates."""
@@ -308,15 +349,11 @@ class SimpleAlgebra:
     def is_dominant(self, w: Sequence[Rational]) -> bool:
         return all(x >= 0 for x in w)
 
-    def root_lattice_coords(self, lam: Sequence[Rational]) -> tuple[Fraction, ...]:
-        """Coordinates of lam in the simple-root basis (columns of the Cartan matrix)."""
-        self.check_weight(lam)
-        inv = self.cartan_inv
-        n = self.rank
-        return tuple(sum(inv[i][j] * lam[j] for j in range(n)) for i in range(n))
-
     def in_root_lattice(self, lam: Sequence[Rational]) -> bool:
-        return all(Fraction(x).denominator == 1 for x in self.root_lattice_coords(lam))
+        """Whether lam has integer coordinates in the simple-root basis: adj * lam = 0 mod det."""
+        self.check_weight(lam)
+        adj, det = self._adjugate
+        return all(sum(a * x for a, x in zip(row, lam)) % det == 0 for row in adj)
 
     # -- identity -----------------------------------------------------------
 
@@ -378,10 +415,3 @@ def fundamental(alg: SimpleAlgebra, i: int) -> Coords:
 def zero_weight(alg: SimpleAlgebra) -> Coords:
     return (0,) * alg.rank
 
-
-def add_weights(a: Iterable[Rational], b: Iterable[Rational]) -> Coords:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def sub_weights(a: Iterable[Rational], b: Iterable[Rational]) -> Coords:
-    return tuple(x - y for x, y in zip(a, b))

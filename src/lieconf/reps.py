@@ -10,18 +10,17 @@ components are tuples of per-factor highest weights.
 """
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Mapping, Sequence, Tuple
 
-from .liealg import Coords, LieError, Rational, SimpleAlgebra, sub_weights
+from .liealg import Coords, LieError, Rational, SimpleAlgebra, SizeError
 
 DEFAULT_CAP = 100_000
-
-
-class SizeError(LieError):
-    """A computation would exceed the configured dimension cap."""
 
 
 class NotACharacter(LieError):
@@ -49,9 +48,17 @@ def _weyl_data(alg: SimpleAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
 
 
 @lru_cache(maxsize=None)
-def _height_form(alg: SimpleAlgebra) -> tuple[Fraction, ...]:
-    """Linear form lam -> (lam, 2 rho), as coefficients on omega-coordinates."""
-    return tuple(2 * sum(alg.form[i]) for i in range(alg.rank))
+def _height_form(alg: SimpleAlgebra) -> tuple[int, ...]:
+    """Linear form lam -> (lam, 2 rho) * form_denom, as integer coefficients
+    on omega-coordinates."""
+    return tuple(2 * sum(row) for row in alg.gram)
+
+
+def height_form(algs: Sequence[SimpleAlgebra]) -> tuple[int, ...]:
+    """Integer coefficients of w -> (w, 2 rho) * L on concatenated product
+    coordinates, L the lcm of the factors' form denominators."""
+    denom = math.lcm(*(a.form_denom for a in algs))
+    return tuple(c * (denom // a.form_denom) for a in algs for c in _height_form(a))
 
 
 def _check_dominant(alg: SimpleAlgebra, lam: Sequence[Rational]) -> Coords:
@@ -131,70 +138,79 @@ class WeightSystem:
 
 
 @lru_cache(maxsize=None)
-def _weight_system(alg: SimpleAlgebra, lam: Coords) -> Dict[Coords, int]:
-    """Full weight multiset of the irreducible module with highest weight lam."""
-    n = alg.rank
-    cols = alg.cartan_columns
-    inv = alg.cartan_inv
-
-    def depth_coords(w: Coords) -> tuple[Fraction, ...]:
-        diff = sub_weights(lam, w)
-        return tuple(sum(inv[i][j] * diff[j] for j in range(n)) for i in range(n))
-
-    # Collect the weight set: walk down by simple roots; a candidate belongs to
-    # the module iff its dominant representative mu satisfies lam - mu in the
-    # non-negative integer span of the simple roots.
-    weights: set[Coords] = {lam}
+def _weight_system(alg: SimpleAlgebra, lam: Coords) -> Mapping[Coords, int]:
+    """Full weight multiset of the irreducible module with highest weight lam, read-only."""
+    # Dominant weights: every dominant mu with lam - mu in the positive root
+    # cone is reached from lam by subtracting positive roots while staying
+    # dominant (Stembridge), and lam - mu stays in that cone on the way.
+    roots = alg.positive_roots_omega
+    heights = [sum(a) for a in alg.positive_roots_alpha]
+    depth = {lam: 0}
     frontier = [lam]
     while frontier:
         nxt = []
-        for w in frontier:
-            for i in range(n):
-                w2 = tuple(w[k] - cols[i][k] for k in range(n))
-                if w2 in weights:
-                    continue
-                dom, _ = alg.to_dominant(w2)
-                if all(x >= 0 for x in depth_coords(dom)):
-                    weights.add(w2)
-                    nxt.append(w2)
+        for mu in frontier:
+            for a, ht in zip(roots, heights):
+                nu = tuple(x - y for x, y in zip(mu, a))
+                if min(nu) >= 0 and nu not in depth:
+                    depth[nu] = depth[mu] + ht
+                    nxt.append(nu)
         frontier = nxt
+    dominants = sorted(depth, key=depth.__getitem__)
 
-    dominants = sorted(
-        (w for w in weights if alg.is_dominant(w)),
-        key=lambda w: sum(depth_coords(w)),
-    )
-
-    rho = alg.rho
-    lam_rho = tuple(x + 1 for x in lam)
-    norm_top = alg.inner_product(lam_rho, lam_rho)
-    roots = list(zip(alg.positive_roots_alpha, alg.positive_roots_omega))
-
-    mult: Dict[Coords, int] = {}
+    # Each Weyl orbit, spread down from its dominant weight by the simple
+    # reflections s_i with w_i > 0, keyed to that dominant weight.
+    cols = alg.cartan_columns
+    dom_of: Dict[Coords, Coords] = {}
     for mu in dominants:
-        if mu == lam:
-            mult[mu] = 1
-            continue
-        mu_rho = tuple(x + 1 for x in mu)
-        denom = norm_top - alg.inner_product(mu_rho, mu_rho)
-        acc = Fraction(0)
-        for a_coords, a_omega in roots:
-            t = 1
-            while True:
-                nu = tuple(mu[k] + t * a_omega[k] for k in range(n))
-                if nu not in weights:
-                    break
-                dom, _ = alg.to_dominant(nu)
-                acc += mult[dom] * alg.pair_root(nu, a_coords)
-                t += 1
-        m = 2 * acc / denom
-        if m.denominator != 1 or m <= 0:
-            raise LieError(f"Freudenthal recursion failed at {mu} for {lam} of {alg.type}")
-        mult[mu] = int(m)
+        dom_of[mu] = mu
+        layer = [mu]
+        while layer:
+            nxt = []
+            for w in layer:
+                for wi, col in zip(w, cols):
+                    if wi > 0:
+                        v = tuple(x - wi * c for x, c in zip(w, col))
+                        if v not in dom_of:
+                            dom_of[v] = mu
+                            nxt.append(v)
+            layer = nxt
 
-    out = {w: mult[alg.to_dominant(w)[0]] for w in weights}
+    # Freudenthal over the dominant weights, by increasing depth, on integers:
+    # (nu, alpha) = (nu, alpha)_6 / 6 with (nu, alpha)_6 = sum_i nu_i 6 d_i a_i,
+    # and |v|^2 = v.gram.v / form_denom.
+    gram, denom = alg.gram, alg.form_denom
+
+    def norm(v: Coords) -> int:
+        return sum(x * sum(g * y for g, y in zip(row, v)) for x, row in zip(v, gram) if x)
+
+    root_data = [
+        (a, a6, sum(x * y for x, y in zip(a, a6))) for a, a6 in zip(roots, _weyl_data(alg)[0])
+    ]
+    top = norm(tuple(x + 1 for x in lam))
+    mult: Dict[Coords, int] = {lam: 1}
+    for mu in dominants[1:]:
+        acc = 0
+        for a, a6, aa in root_data:
+            nu = tuple(x + y for x, y in zip(mu, a))
+            dom = dom_of.get(nu)
+            if dom is None:
+                continue
+            pair = sum(x * y for x, y in zip(mu, a6)) + aa
+            while dom is not None:
+                acc += mult[dom] * pair
+                pair += aa
+                nu = tuple(x + y for x, y in zip(nu, a))
+                dom = dom_of.get(nu)
+        m, r = divmod(2 * denom * acc, 6 * (top - norm(tuple(x + 1 for x in mu))))
+        if r or m <= 0:
+            raise LieError(f"Freudenthal recursion failed at {mu} for {lam} of {alg.type}")
+        mult[mu] = m
+
+    out = {w: mult[mu] for w, mu in dom_of.items()}
     if sum(out.values()) != _weyl_dim_cached(alg, lam):
         raise LieError(f"weight-multiset size mismatch for {lam} of {alg.type}")
-    return out
+    return MappingProxyType(out)
 
 
 def freudenthal_weights(alg: SimpleAlgebra, lam: Sequence[Rational], cap: int = DEFAULT_CAP) -> WeightSystem:
@@ -229,14 +245,7 @@ def join_coords(parts: Sequence[Coords]) -> Coords:
 
 
 def product_dim(algs: Sequence[SimpleAlgebra], module: Sequence[Coords]) -> int:
-    return _prod(weyl_dim(a, w) for a, w in zip(algs, module))
-
-
-def _prod(it) -> int:
-    out = 1
-    for x in it:
-        out *= x
-    return out
+    return math.prod(weyl_dim(a, w) for a, w in zip(algs, module))
 
 
 def product_weight_system(
@@ -281,13 +290,10 @@ class Decomposition:
         return {comp[0]: m for comp, m in self.components.items()}
 
     def sorted_items(self) -> list[tuple[Tuple[Coords, ...], int]]:
-        forms = [_height_form(a) for a in self.algebras]
+        form = height_form(self.algebras)
 
-        def height(comp: Tuple[Coords, ...]) -> Fraction:
-            return sum(
-                (c * t for part, form in zip(comp, forms) for c, t in zip(part, form)),
-                Fraction(0),
-            )
+        def height(comp: Tuple[Coords, ...]) -> int:
+            return sum(c * t for c, t in zip(join_coords(comp), form))
 
         return sorted(self.components.items(), key=lambda kv: (-height(kv[0]), kv[0]))
 
@@ -356,16 +362,21 @@ def decompose_weight_system(
     entries = dict(ws.entries if isinstance(ws, WeightSystem) else ws)
     if sum(entries.values()) > cap:
         raise SizeError(f"multiset size exceeds the cap {cap}")
-    form = join_coords([_height_form(a) for a in algs])
+    form = height_form(algs)
 
-    def height(w: Coords) -> Fraction:
-        return sum((c * t for c, t in zip(w, form)), Fraction(0))
+    # Max-heap on (height, coordinates); each weight's height is computed once.
+    def entry(w: Coords) -> tuple:
+        return (-sum(c * t for c, t in zip(w, form)), tuple(-x for x in w), w)
 
     comps: Dict[Tuple[Coords, ...], int] = {}
     remaining = {k: v for k, v in entries.items() if v}
-    while remaining:
-        top = max(remaining, key=lambda k: (height(k), k))
-        m = remaining[top]
+    heap = [entry(w) for w in remaining]
+    heapq.heapify(heap)
+    while heap:
+        top = heapq.heappop(heap)[2]
+        m = remaining.get(top)
+        if m is None:
+            continue
         if m < 0:
             raise NotACharacter(f"negative multiplicity {m} at {top}")
         parts = split_coords(algs, top)
@@ -374,11 +385,14 @@ def decompose_weight_system(
         comps[parts] = m
         char = product_weight_system(algs, parts, cap=cap)
         for w, cm in char.items():
-            new = remaining.get(w, 0) - m * cm
+            old = remaining.get(w)
+            new = (old or 0) - m * cm
             if new:
                 remaining[w] = new
-            else:
-                remaining.pop(w, None)
+                if old is None:
+                    heapq.heappush(heap, entry(w))
+            elif old is not None:
+                del remaining[w]
     return Decomposition(algs, comps)
 
 

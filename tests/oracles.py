@@ -4,13 +4,16 @@ Each oracle recomputes a quantity from first principles along a different
 algorithmic route than the library: alternating Weyl-orbit sums check
 character data, a quadratic-time Euler product checks the pentagonal-number
 expansion, a convolve-and-peel decomposition checks the tensor-product path,
-and `Fraction`-dict series products check the integer eta-quotient
-recurrences of the character models and identity sides.  They are deliberately slow and simple.
+`Fraction` Freudenthal over every weight and a `Fraction`-height peel check
+the integer, orbit-driven weight systems and decompositions, and
+`Fraction`-dict series products check the integer eta-quotient recurrences
+of the character models and identity sides.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Sequence, Tuple
 
 from lieconf.liealg import SimpleAlgebra
@@ -24,7 +27,7 @@ from lieconf.qseries import (
     _signed_double_sum,
     euler_phi,
 )
-from lieconf.reps import freudenthal_weights
+from lieconf.reps import NotACharacter, freudenthal_weights, split_coords, weyl_dim
 
 Coords = Tuple[int, ...]
 
@@ -128,6 +131,115 @@ def peel_tensor(alg: SimpleAlgebra, lam: Coords, mu: Coords) -> Dict[Coords, int
             else:
                 prod.pop(w, None)
     return components
+
+
+# ---------------------------------------------------------------------------
+# weight systems and peel-off decomposition over Fraction
+
+
+@lru_cache(maxsize=None)
+def fraction_weight_system(alg: SimpleAlgebra, lam: Coords) -> Dict[Coords, int]:
+    """Weight multiset of L(lam) by Freudenthal's recursion over `Fraction`,
+    collecting every weight and reducing each one to the dominant chamber."""
+    n = alg.rank
+    cols = alg.cartan_columns
+    inv = alg.cartan_inv
+
+    def depth_coords(w: Coords) -> tuple[Fraction, ...]:
+        diff = tuple(x - y for x, y in zip(lam, w))
+        return tuple(sum(inv[i][j] * diff[j] for j in range(n)) for i in range(n))
+
+    def pair_root(w: Coords, alpha_coords: Coords) -> Fraction:
+        return sum(alg.d[i] * a * w[i] for i, a in enumerate(alpha_coords) if a)
+
+    # Collect the weight set: walk down by simple roots; a candidate belongs to
+    # the module iff its dominant representative mu satisfies lam - mu in the
+    # non-negative integer span of the simple roots.
+    weights: set[Coords] = {lam}
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for i in range(n):
+                w2 = tuple(w[k] - cols[i][k] for k in range(n))
+                if w2 in weights:
+                    continue
+                dom, _ = alg.to_dominant(w2)
+                if all(x >= 0 for x in depth_coords(dom)):
+                    weights.add(w2)
+                    nxt.append(w2)
+        frontier = nxt
+
+    dominants = sorted(
+        (w for w in weights if alg.is_dominant(w)),
+        key=lambda w: sum(depth_coords(w)),
+    )
+
+    lam_rho = tuple(x + 1 for x in lam)
+    norm_top = alg.inner_product(lam_rho, lam_rho)
+    roots = list(zip(alg.positive_roots_alpha, alg.positive_roots_omega))
+
+    mult: Dict[Coords, int] = {}
+    for mu in dominants:
+        if mu == lam:
+            mult[mu] = 1
+            continue
+        mu_rho = tuple(x + 1 for x in mu)
+        denom = norm_top - alg.inner_product(mu_rho, mu_rho)
+        acc = Fraction(0)
+        for a_coords, a_omega in roots:
+            t = 1
+            while True:
+                nu = tuple(mu[k] + t * a_omega[k] for k in range(n))
+                if nu not in weights:
+                    break
+                dom, _ = alg.to_dominant(nu)
+                acc += mult[dom] * pair_root(nu, a_coords)
+                t += 1
+        m = 2 * acc / denom
+        if m.denominator != 1 or m <= 0:
+            raise ValueError(f"Freudenthal recursion failed at {mu} for {lam} of {alg.type}")
+        mult[mu] = int(m)
+
+    out = {w: mult[alg.to_dominant(w)[0]] for w in weights}
+    if sum(out.values()) != weyl_dim(alg, lam):
+        raise ValueError(f"weight-multiset size mismatch for {lam} of {alg.type}")
+    return out
+
+
+def fraction_decompose(
+    algs: Sequence[SimpleAlgebra], ws: Dict[Coords, int]
+) -> Dict[Tuple[Coords, ...], int]:
+    """Greedy peel-off of a character multiset over a product of simple
+    algebras, with `Fraction` heights (w, 2 rho) recomputed on every step and
+    characters from `fraction_weight_system`."""
+    form = [2 * sum(row) for a in algs for row in a.form]
+
+    def height(w: Coords) -> Fraction:
+        return sum((c * t for c, t in zip(w, form)), Fraction(0))
+
+    comps: Dict[Tuple[Coords, ...], int] = {}
+    remaining = {k: v for k, v in ws.items() if v}
+    while remaining:
+        top = max(remaining, key=lambda k: (height(k), k))
+        m = remaining[top]
+        if m < 0:
+            raise NotACharacter(f"negative multiplicity {m} at {top}")
+        parts = split_coords(algs, top)
+        if not all(a.is_dominant(p) for a, p in zip(algs, parts)):
+            raise NotACharacter(f"maximal weight {top} is not dominant")
+        comps[parts] = m
+        char: Dict[Coords, int] = {(): 1}
+        for a, w in zip(algs, parts):
+            factor = fraction_weight_system(a, w)
+            char = {b + wf: mb * mf for b, mb in char.items() for wf, mf in factor.items()}
+        for w, cm in char.items():
+            new = remaining.get(w, 0) - m * cm
+            if new:
+                remaining[w] = new
+            else:
+                remaining.pop(w, None)
+    return comps
 
 
 # ---------------------------------------------------------------------------

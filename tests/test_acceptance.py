@@ -234,4 +234,5 @@ def test_criterion_7_structural_invariants():
         assert alg.inner_product(alg.theta, alg.theta) == 2, str(typ)
         assert alg.dual_coxeter == alg.inner_product(alg.rho, alg.theta) + 1, str(typ)
         assert alg.dim == alg.rank + 2 * alg.num_positive, str(typ)
+        assert len(alg.positive_roots_alpha) == alg.num_positive, str(typ)
         assert dynkin_index(alg, alg.theta) == alg.dual_coxeter, str(typ)

@@ -47,6 +47,13 @@ class TestAlgebraInfo:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    def test_large_ambient_below_the_rank_cap(self):
+        code, doc = run_json(["algebra", "info", "D72"])
+        assert code == 0
+        assert doc["dimension"] == 10296
+        assert doc["dual_coxeter"] == 142
+        assert doc["positive_roots"] == 72 * 71
+
 
 class TestRep:
     def test_dim_matches_library(self):
@@ -226,6 +233,23 @@ class TestClassify:
 
     def test_bad_bound_is_a_usage_error(self):
         assert run(["classify", "table1", "B3", "--bound", "0"])[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (["algebra", "info", "A1000"], "MAX_TABLE_RANK"),
+        (["rep", "dim", "D101", ",".join(["0"] * 101)], "MAX_TABLE_RANK"),
+        (["classify", "table1", "B3", "--bound", "1000000"], "MAX_SCAN_BOUND"),
+        (["classify", "sl-irreducible", "--max-rank", "1000"], "MAX_SEARCH_RANK"),
+    ],
+)
+def test_size_above_a_cap_fails_at_once(argv, cap):
+    start = time.perf_counter()
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert "exceeds the cap" in err and cap in err
+    assert time.perf_counter() - start < 1.0
 
 
 class TestQseries:

@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from lieconf import liealg
 from lieconf.liealg import (
+    MAX_TABLE_RANK,
     AlgebraType,
     LieError,
+    SizeError,
     build_algebra,
     constructible_types,
     fundamental,
@@ -67,6 +70,9 @@ class TestStructuralInvariants:
         assert alg.dim == alg.rank + 2 * alg.num_positive
         want = NUM_POSITIVE[typ.family](typ.rank)
         assert alg.num_positive == want
+        # num_positive and dual_coxeter are closed forms: check them against the closure
+        assert len(alg.positive_roots_alpha) == alg.num_positive
+        assert alg.dual_coxeter == alg.inner_product(alg.rho, alg.theta) + 1
 
     @pytest.mark.parametrize("typ", all_types(), ids=str)
     def test_dual_coxeter_number(self, typ):
@@ -218,3 +224,19 @@ class TestWeightValidation:
         alg = build_algebra("B12")
         assert alg.dim == 300
         assert alg.dual_coxeter == 23
+
+    @pytest.mark.parametrize("wrong", [(16, 4), (14, 5)], ids=["dim", "dual_coxeter"])
+    def test_closure_is_checked_against_the_closed_forms(self, wrong, monkeypatch):
+        monkeypatch.setitem(liealg._CLOSED_FORMS, "G", {2: wrong}.get)
+        alg = liealg.SimpleAlgebra(AlgebraType("G", 2))
+        with pytest.raises(LieError):
+            alg.theta
+
+    def test_closed_forms_need_no_tables_above_the_rank_cap(self):
+        alg = build_algebra(AlgebraType("D", MAX_TABLE_RANK + 1))
+        n = MAX_TABLE_RANK + 1
+        assert (alg.dim, alg.dual_coxeter) == (n * (2 * n - 1), 2 * n - 2)
+        assert alg.num_positive == n * (n - 1)
+        for table in ("theta", "positive_roots_alpha", "form", "cartan", "rho"):
+            with pytest.raises(SizeError):
+                getattr(alg, table)

@@ -7,8 +7,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieconf.liealg import build_algebra
+from lieconf import embed
+from lieconf.embed import DUAL_PAIR_FAMILIES, dual_pair_branching
+from lieconf.liealg import build_algebra, constructible_types, fundamental
 from lieconf.reps import (
+    DEFAULT_CAP,
+    Decomposition,
     NotACharacter,
     SizeError,
     casimir,
@@ -22,9 +26,10 @@ from lieconf.reps import (
     square_decompose,
     tensor_decompose,
     weyl_dim,
+    _weight_system,
 )
 
-from oracles import check_character, peel_tensor
+from oracles import check_character, fraction_decompose, fraction_weight_system, peel_tensor
 
 
 class TestWeylDimension:
@@ -198,6 +203,58 @@ class TestFreudenthal:
             freudenthal_weights(build_algebra("A2"), (40, 40), cap=100)
 
 
+def _oracle_modules():
+    """Each fundamental weight, 2 omega_1 and rho of every type up to rank 8,
+    where the module has dimension at most 5000."""
+    cases = []
+    for typ in constructible_types(8):
+        alg = build_algebra(typ)
+        n = alg.rank
+        lams = [fundamental(alg, i) for i in range(1, n + 1)]
+        lams += [(2,) + (0,) * (n - 1), alg.rho]
+        cases += [
+            pytest.param(typ, lam, id=f"{typ}-{','.join(map(str, lam))}")
+            for lam in dict.fromkeys(lams)
+            if weyl_dim(alg, lam) <= 5000
+        ]
+    return cases
+
+
+class TestFractionOracle:
+    @pytest.mark.parametrize("typ, lam", _oracle_modules())
+    def test_weight_system_matches_fraction_freudenthal(self, typ, lam):
+        alg = build_algebra(typ)
+        assert dict(_weight_system(alg, lam)) == fraction_weight_system(alg, lam)
+
+    @pytest.mark.parametrize("family", DUAL_PAIR_FAMILIES)
+    def test_peel_matches_fraction_peel_on_dual_pair_grid(self, family, monkeypatch):
+        seen = []
+
+        def recording(algs, ws, cap=DEFAULT_CAP):
+            result = decompose_weight_system(algs, ws, cap=cap)
+            seen.append((tuple(algs), dict(ws), result.components))
+            return result
+
+        monkeypatch.setattr(embed, "decompose_weight_system", recording)
+        n_lo = 3 if family in ("soso", "OO") else 2
+        m_lo = 3 if family in ("soso", "OO", "spso") else 2
+        for n in range(n_lo, 7):
+            for m in range(m_lo, 7):
+                dual_pair_branching(family, n, m)
+        assert seen
+        for algs, ws, comps in seen:
+            assert comps == fraction_decompose(algs, ws)
+
+    def test_cached_weight_system_is_read_only(self):
+        alg = build_algebra("A2")
+        cached = _weight_system(alg, (1, 0))
+        with pytest.raises(TypeError):
+            cached[(1, 0)] = 5
+        entries = freudenthal_weights(alg, (1, 0)).entries
+        entries[(1, 0)] = 5
+        assert _weight_system(alg, (1, 0))[(1, 0)] == 1
+
+
 class TestTensor:
     @given(st.integers(min_value=0, max_value=10), st.integers(min_value=0, max_value=10))
     @settings(max_examples=40)
@@ -299,6 +356,18 @@ class TestProductSystems:
         merged[(0, 0)] = merged.get((0, 0), 0) + 1
         decomp = decompose_weight_system((a2,), merged)
         assert decomp.components == {((1, 1),): 1, ((0, 0),): 1}
+
+    def test_sorted_items_order_by_height_across_factor_denominators(self):
+        # A1 and G2 have forms over different denominators (2 and 3)
+        algs = (build_algebra("A1"), build_algebra("G2"))
+        comps = [((4,), (0, 0)), ((0,), (1, 0)), ((0,), (0, 1)), ((1,), (1, 0)), ((3,), (0, 0))]
+        decomp = Decomposition(algs, {c: 1 for c in comps})
+
+        def height(comp):
+            return sum(a.inner_product(w, (2,) * a.rank) for a, w in zip(algs, comp))
+
+        want = sorted(comps, key=lambda c: (-height(c), c))
+        assert [c for c, _ in decomp.sorted_items()] == want
 
     def test_non_character_rejected(self):
         a2 = build_algebra("A2")
