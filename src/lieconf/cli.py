@@ -41,6 +41,7 @@ from .conformal import (
     search_so_irreducible,
     solve_levels,
     table1_scan,
+    verify_case,
 )
 from .qseries import CHARACTER_MODELS, IDENTITY_NAMES, character, verify_identity
 from .surd import parse_rational
@@ -247,8 +248,7 @@ def _cmd_branch(args) -> Handler:
 
 
 def _resolve(args) -> Any:
-    catalog = load_catalog(args.catalog) if args.catalog else None
-    return resolve_case(args.case, catalog)
+    return resolve_case(args.case, load_catalog(args.catalog))
 
 
 def _cmd_conformal_solve(args) -> Handler:
@@ -266,7 +266,7 @@ def _cmd_conformal_solve(args) -> Handler:
     solutions = solve_levels(ambient, sub, groups)
     rows = []
     for sol in solutions:
-        flags = level_flags(ambient, sub, sol.as_quadratic())
+        flags = level_flags(ambient, sub, sol)
         rows.append(
             {
                 "level": str(sol),
@@ -328,7 +328,7 @@ def _cmd_classify(args) -> Handler:
                     crit = [
                         str(s)
                         for s in sols
-                        if level_flags(case.ambient, case.sub, s.as_quadratic()).critical
+                        if level_flags(case.ambient, case.sub, s).critical
                     ]
                     rows.append(
                         {
@@ -345,7 +345,13 @@ def _cmd_classify(args) -> Handler:
             "rows": rows,
         }
         return payload, 0
-    if which == "so-irreducible":
+    if which in ("so-irreducible", "sl-irreducible"):
+        if which == "so-irreducible":
+            findings = search_so_irreducible()
+            title = "irreducible orthogonal complements (survivors)"
+        else:
+            findings = search_sl_irreducible(args.max_rank)
+            title = "irreducible V (+) V* complements (survivors)"
         rows = [
             {
                 "algebra": str(f.algebra),
@@ -353,26 +359,10 @@ def _cmd_classify(args) -> Handler:
                 "dim_V": f.dim_v,
                 "copies": f.copies,
             }
-            for f in search_so_irreducible()
+            for f in findings
         ]
         payload = {
-            "title": "irreducible orthogonal complements (survivors)",
-            "columns": ["algebra", "weight", "dim_V", "copies"],
-            "rows": rows,
-        }
-        return payload, 0
-    if which == "sl-irreducible":
-        rows = [
-            {
-                "algebra": str(f.algebra),
-                "weight": _weight_str(f.weight),
-                "dim_V": f.dim_v,
-                "copies": f.copies,
-            }
-            for f in search_sl_irreducible(args.max_rank)
-        ]
-        payload = {
-            "title": "irreducible V (+) V* complements (survivors)",
+            "title": title,
             "columns": ["algebra", "weight", "dim_V", "copies"],
             "rows": rows,
         }
@@ -398,24 +388,16 @@ def _cmd_classify(args) -> Handler:
         }
         return payload, 0
     if which == "exceptional":
-        catalog = load_catalog(args.catalog) if args.catalog else load_catalog()
         rows = []
-        any_fail = False
-        for case in catalog:
-            sols = solve_levels(case.ambient, case.sub, case.slot_groups)
-            report = ap_check(case, case.level)
-            stated_found = any(
-                s.is_rational and s.to_fraction() == case.level for s in sols
-            )
-            ok = stated_found and report.all_balanced
-            any_fail = any_fail or not ok
+        for case in load_catalog(args.catalog):
+            verdict = verify_case(case, case.level)
             rows.append(
                 {
                     "label": case.label,
                     "level": str(case.level),
-                    "levels": [str(s) for s in sols],
-                    "balanced": report.all_balanced,
-                    "status": "ok" if ok else "fail",
+                    "levels": [str(s) for s in verdict.levels],
+                    "balanced": verdict.ap.all_balanced,
+                    "status": "ok" if verdict.ok else "fail",
                 }
             )
         payload = {
@@ -423,17 +405,14 @@ def _cmd_classify(args) -> Handler:
             "columns": ["label", "level", "levels", "balanced", "status"],
             "rows": rows,
         }
-        return payload, 1 if any_fail else 0
-    # global
-    catalog = load_catalog(args.catalog) if args.catalog else None
-    rows = global_report(catalog)
-    any_fail = any(row["status"] != "ok" for row in rows)
-    payload = {
-        "title": "global classification report",
-        "columns": ["label", "ambient", "levels", "ap", "status"],
-        "rows": rows,
-    }
-    return payload, 1 if any_fail else 0
+    else:  # global
+        rows = global_report(load_catalog(args.catalog))
+        payload = {
+            "title": "global classification report",
+            "columns": ["label", "ambient", "levels", "ap", "status"],
+            "rows": rows,
+        }
+    return payload, 1 if any(row["status"] != "ok" for row in rows) else 0
 
 
 def _cmd_qseries(args) -> Handler:
@@ -602,7 +581,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         payload, code = args.handler(args)
-    except (UsageError, LieError, ValueError) as exc:
+    except (UsageError, LieError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = _render(payload, args.format)

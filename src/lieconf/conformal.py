@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .liealg import (
@@ -39,13 +39,15 @@ from .embed import (
     load_catalog,
     resolve_case,
 )
-from .surd import LevelSolution, QuadraticNumber, squarefree_extract
+from .surd import QuadraticNumber, squarefree_extract
 
 __all__ = [
     "central_charge",
     "solve_levels",
     "level_flags",
     "LevelFlags",
+    "Verdict",
+    "verify_case",
     "APReport",
     "ap_check",
     "necessary_constants",
@@ -61,19 +63,23 @@ __all__ = [
 ]
 
 Rational = Union[int, Fraction]
-Level = Union[int, Fraction, QuadraticNumber, LevelSolution]
+Level = Union[int, Fraction, QuadraticNumber]
 
 # Caps on the classification searches.  The small-index scan stops at the
 # index threshold long before coordinate 100; the irreducible searches build
 # B_n and C_n for every n up to the rank bound (about 0.7 s at rank 20).
 MAX_SCAN_BOUND = 100
 MAX_SEARCH_RANK = 20
+# Cap on the cleared charge-matching polynomial: the rational-root search
+# trial-divides its end coefficients and the surd step its discriminant.
+# The shipped cases and the dual-pair grids up to n, m = 8 stay below 2**16;
+# the worst case under the cap (end coefficients with 504 divisors, no
+# rational root) takes about 0.35 s.
+MAX_LEVEL_COEFF = 2**24
 
 
 def _as_number(k: Level) -> Union[Fraction, QuadraticNumber]:
     """Normalize a level to a Fraction when rational, QuadraticNumber otherwise."""
-    if isinstance(k, LevelSolution):
-        k = k.as_quadratic()
     if isinstance(k, QuadraticNumber):
         return k.to_fraction() if k.is_rational else k
     return Fraction(k)
@@ -139,10 +145,12 @@ def _poly_trim(a: List[Fraction]) -> List[Fraction]:
     return a
 
 
-def _poly_eval(a: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
+def _scaled_value(ints: Sequence[int], p: int, q: int) -> int:
+    """q**n * f(p/q) for the degree-n integer polynomial f, constant first."""
+    acc, q_power = 0, 1
+    for c in reversed(ints):
+        acc = acc * p + c * q_power
+        q_power *= q
     return acc
 
 
@@ -170,29 +178,30 @@ def _divisors(n: int) -> List[int]:
 
 
 def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
-    """All rational roots with multiplicity, deflating as found; mutates coeffs."""
+    """All rational roots with multiplicity, deflating as found; mutates coeffs.
+
+    A root p/q in lowest terms has p dividing the cleared constant and q the
+    cleared leading coefficient (the rational root theorem).
+    """
     roots: List[Fraction] = []
     while len(coeffs) > 1:
-        while coeffs[0] == 0:
+        if coeffs[0] == 0:
             roots.append(Fraction(0))
             del coeffs[0]
-            if len(coeffs) == 1:
-                return roots
-        if len(coeffs) <= 1:
-            break
+            continue
         scale = lcm(*(c.denominator for c in coeffs))
         ints = [int(c * scale) for c in coeffs]
-        found = None
-        for p in _divisors(ints[0]):
-            for q in _divisors(ints[-1]):
-                for cand in (Fraction(p, q), Fraction(-p, q)):
-                    if _poly_eval(coeffs, cand) == 0:
-                        found = cand
-                        break
-                if found is not None:
-                    break
-            if found is not None:
-                break
+        found = next(
+            (
+                Fraction(p, q)
+                for p_abs in _divisors(ints[0])
+                for q in _divisors(ints[-1])
+                if gcd(p_abs, q) == 1
+                for p in (p_abs, -p_abs)
+                if _scaled_value(ints, p, q) == 0
+            ),
+            None,
+        )
         if found is None:
             return roots
         roots.append(found)
@@ -200,7 +209,7 @@ def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
     return roots
 
 
-def _quadratic_solutions(coeffs: Sequence[Fraction]) -> List[LevelSolution]:
+def _quadratic_solutions(coeffs: Sequence[Fraction]) -> List[QuadraticNumber]:
     """Roots of a quadratic with rational coefficients, as surds; [] if complex."""
     a, b, c = coeffs[2], coeffs[1], coeffs[0]
     scale = lcm(a.denominator, b.denominator, c.denominator)
@@ -208,10 +217,9 @@ def _quadratic_solutions(coeffs: Sequence[Fraction]) -> List[LevelSolution]:
     disc = bi * bi - 4 * ai * ci
     if disc < 0:
         return []
-    if disc == 0:
-        return [LevelSolution(-bi, 0, 2 * ai, 0)]
     s, d = squarefree_extract(disc)
-    return [LevelSolution(-bi, s, 2 * ai, d), LevelSolution(-bi, -s, 2 * ai, d)]
+    p = Fraction(-bi, 2 * ai)
+    return [QuadraticNumber(p, Fraction(sign * s, 2 * ai), d) for sign in (1, -1)]
 
 
 def _charge_entries(
@@ -249,14 +257,15 @@ def solve_levels(
     ambient: Union[SimpleAlgebra, AlgebraType, str],
     sub: SubalgebraSpec,
     slot_groups: Optional[Sequence[Sequence[int]]] = None,
-) -> List[LevelSolution]:
+) -> List[QuadraticNumber]:
     """All non-zero candidate levels where central charges can match.
 
-    Returns the roots, sorted, of the equation sum_j c_{j_j k}(k_j) = c_k(g)
-    cleared to a polynomial (the trivial root k = 0 removed).  Roots at which
-    a factor or the ambient algebra is critical are included; flag them with
-    :func:`level_flags`.  Raises when more than a quadratic remains after
-    rational-root deflation.
+    Returns the roots, sorted by (d, p, q), of the equation
+    sum_j c_{j_j k}(k_j) = c_k(g) cleared to a polynomial (the trivial root
+    k = 0 removed).  Roots at which a factor or the ambient algebra is
+    critical are included; flag them with :func:`level_flags`.  Raises when
+    more than a quadratic remains after rational-root deflation, and
+    SizeError when a cleared coefficient exceeds MAX_LEVEL_COEFF.
     """
     ambient = build_algebra(ambient)
     entries = _charge_entries(ambient, sub, slot_groups)
@@ -272,28 +281,23 @@ def solve_levels(
     coeffs = _poly_trim(total)
     if not coeffs:
         raise LieError("charge-matching equation is identically zero")
-    rational = [r for r in _rational_roots(coeffs) if r != 0]
-    solutions = [LevelSolution.from_rational(r) for r in rational]
+    scale = lcm(*(c.denominator for c in coeffs))
+    biggest = max(abs(int(c * scale)) for c in coeffs)
+    if biggest > MAX_LEVEL_COEFF:
+        raise SizeError(
+            f"cleared level polynomial has a coefficient of {biggest.bit_length()} bits; "
+            f"it exceeds the cap MAX_LEVEL_COEFF = 2**{MAX_LEVEL_COEFF.bit_length() - 1}")
+    solutions = [QuadraticNumber(r) for r in _rational_roots(coeffs) if r != 0]
+    # What deflation leaves has no rational root: a constant, or a quadratic
+    # whose roots are irrational or complex.
     if len(coeffs) - 1 >= 3:
         raise LieError(
             f"cleared polynomial keeps degree {len(coeffs) - 1} after "
             "rational-root removal; roots are not expressible in quadratic surds"
         )
     if len(coeffs) - 1 == 2:
-        solutions.extend(s for s in _quadratic_solutions(coeffs) if not _is_level_zero(s))
-    elif len(coeffs) - 1 == 1:
-        r = -coeffs[0] / coeffs[1]
-        if r != 0:
-            solutions.append(LevelSolution.from_rational(r))
-    out: List[LevelSolution] = []
-    for s in solutions:
-        if s not in out:
-            out.append(s)
-    return sorted(out, key=lambda s: s.sort_key())
-
-
-def _is_level_zero(s: LevelSolution) -> bool:
-    return s.is_rational and s.to_fraction() == 0
+        solutions.extend(_quadratic_solutions(coeffs))
+    return sorted(set(solutions), key=lambda s: (s.d, s.p, s.q))
 
 
 @dataclass(frozen=True)
@@ -633,18 +637,21 @@ def a1_exclusion_check(d: Rational, k: Level) -> A1ExclusionResult:
 # in E7 for the index-399 sl(2) (index 389 would give 2074/5057 instead).
 # The survey re-derives every level with solve_levels, so a stored value that
 # disagrees with the equation fails loudly.
-EXCLUDED_CANDIDATES: List[Tuple[str, Tuple[Tuple[str, int], ...], Tuple[LevelSolution, ...]]] = [
-    ("E8", (("A1", 1240),), (LevelSolution(64, 0, 175, 0),)),
-    ("E8", (("A1", 760),), (LevelSolution(8488, 0, 23275, 0),)),
-    ("E8", (("A1", 520),), (LevelSolution(5788, 0, 15925, 0),)),
-    ("E8", (("A2", 6), ("A1", 16)), (LevelSolution(-119, 0, 474, 0),)),
-    ("E7", (("A1", 399),), (LevelSolution(16, 0, 39, 0),)),
-    ("E7", (("A1", 231),), (LevelSolution(872, 0, 2145, 0),)),
-    ("E7", (("G2", 2), ("A1", 7)), (LevelSolution(-26, 0, 29, 0),)),
+EXCLUDED_CANDIDATES: List[Tuple[str, Tuple[Tuple[str, int], ...], Tuple[QuadraticNumber, ...]]] = [
+    ("E8", (("A1", 1240),), (QuadraticNumber(Fraction(64, 175)),)),
+    ("E8", (("A1", 760),), (QuadraticNumber(Fraction(8488, 23275)),)),
+    ("E8", (("A1", 520),), (QuadraticNumber(Fraction(5788, 15925)),)),
+    ("E8", (("A2", 6), ("A1", 16)), (QuadraticNumber(Fraction(-119, 474)),)),
+    ("E7", (("A1", 399),), (QuadraticNumber(Fraction(16, 39)),)),
+    ("E7", (("A1", 231),), (QuadraticNumber(Fraction(872, 2145)),)),
+    ("E7", (("G2", 2), ("A1", 7)), (QuadraticNumber(Fraction(-26, 29)),)),
     (
         "E7",
         (("A1", 24), ("A1", 15)),
-        (LevelSolution(479, 3, 1524, 46265), LevelSolution(479, -3, 1524, 46265)),
+        (
+            QuadraticNumber(Fraction(479, 1524), Fraction(3, 1524), 46265),
+            QuadraticNumber(Fraction(479, 1524), Fraction(-3, 1524), 46265),
+        ),
     ),
 ]
 
@@ -654,7 +661,7 @@ class SurveyRow:
     ambient: AlgebraType
     description: str
     a1_index: Fraction
-    level: LevelSolution
+    level: QuadraticNumber
     result: A1ExclusionResult
 
 
@@ -723,13 +730,43 @@ def _family_rows() -> List[Tuple[BranchingCase, Fraction, bool]]:
     return rows
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """The classification's decision on one case at one stated level.
+
+    ``ok`` holds when the stated level is a charge-matching root, its
+    criticality is as expected, and the balance criterion holds exactly when
+    no criticality is expected.
+    """
+
+    levels: List[QuadraticNumber]
+    stated_is_root: bool
+    flags: LevelFlags
+    ap: APReport
+    ok: bool
+
+
+def verify_case(case: BranchingCase, level: Level, expect_critical: bool = False) -> Verdict:
+    """Solve ``case`` for its candidate levels and judge the stated ``level``."""
+    ambient = build_algebra(case.ambient)
+    levels = solve_levels(ambient, case.sub, case.slot_groups)
+    flags = level_flags(ambient, case.sub, level)
+    ap = ap_check(case, level)
+    stated_is_root = level in levels
+    ok = (
+        stated_is_root
+        and flags.critical == expect_critical
+        and ap.all_balanced != expect_critical
+    )
+    return Verdict(levels, stated_is_root, flags, ap, ok)
+
+
 def global_report(catalog: Optional[Catalog] = None) -> List[Dict[str, object]]:
     """Re-derive every classified non-integrable case and check it.
 
-    Each row solves for the candidate levels, confirms the stated level is a
-    root, and either confirms balance or (for instances the classification
-    excludes as critical) confirms criticality.  Rows are sorted by label and
-    fully deterministic.
+    Each row is the :func:`verify_case` verdict at the stated level: either
+    balance or, for instances the classification excludes as critical,
+    criticality.  Rows are sorted by label and fully deterministic.
     """
     if catalog is None:
         catalog = load_catalog()
@@ -737,28 +774,19 @@ def global_report(catalog: Optional[Catalog] = None) -> List[Dict[str, object]]:
     rows.extend((case, case.level, False) for case in catalog)
     report: List[Dict[str, object]] = []
     for case, stated, expect_critical in rows:
-        ambient = build_algebra(case.ambient)
-        solved = solve_levels(ambient, case.sub, case.slot_groups)
-        stated_solution = LevelSolution.from_rational(Fraction(stated))
-        flags = level_flags(ambient, case.sub, stated)
-        ap = ap_check(case, stated)
-        ok = stated_solution in solved and flags.critical == expect_critical
-        if expect_critical:
-            ok = ok and not ap.all_balanced
-        else:
-            ok = ok and ap.all_balanced
+        verdict = verify_case(case, stated, expect_critical)
         label = case.label or case.sub.describe()
         report.append(
             {
                 "label": f"{label}@{stated}",
                 "ambient": str(case.ambient),
-                "levels": [str(s) for s in solved],
+                "levels": [str(s) for s in verdict.levels],
                 "ap": {
                     "level": str(stated),
-                    "balanced": ap.all_balanced,
-                    "critical": flags.critical,
+                    "balanced": verdict.ap.all_balanced,
+                    "critical": verdict.flags.critical,
                 },
-                "status": "ok" if ok else "fail",
+                "status": "ok" if verdict.ok else "fail",
             }
         )
     report.sort(key=lambda row: row["label"])

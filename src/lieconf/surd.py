@@ -1,14 +1,14 @@
-"""Exact arithmetic in real quadratic fields, and normalized level values.
+"""Exact arithmetic in real quadratic fields.
 
 `QuadraticNumber` is p + q*sqrt(d) with rational p, q and a fixed squarefree
 d >= 0; it supports field arithmetic against rationals and same-field numbers,
-exact sign determination, and equality.  `LevelSolution` is the normalized
-(a + b*sqrt(d))/c presentation used for solver output and reports.
+exact sign determination, and equality, and prints as (a+b*sqrt(d))/c.  It is
+the one type for solved levels.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt, lcm
 from typing import Union
 
 Rat = Union[int, Fraction]
@@ -184,90 +184,14 @@ class QuadraticNumber:
         return f"QuadraticNumber({self.p!r}, {self.q!r}, {self.d!r})"
 
     def __str__(self):
+        """(a+b*sqrt(d))/c with integers, c > 0 and gcd(a, b, c) = 1."""
         if self.is_rational:
             return str(self.p)
-        return str(LevelSolution.from_quadratic(self))
-
-
-class LevelSolution:
-    """A solved level (a + b*sqrt(d))/c, normalized.
-
-    c > 0, gcd(a, b, c) = 1, d squarefree and >= 0; rational values collapse to
-    b = 0, d = 0.  Equality is structural, which equals numeric equality in
-    this normal form.  (A sign convention for the pure-surd case a = 0 cannot
-    change the value and is therefore not applied.)
-    """
-
-    __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a: int, b: int, c: int, d: int):
-        if c == 0:
-            raise ValueError("zero denominator")
-        if d < 0:
-            raise ValueError("negative radicand")
-        if b:
-            s, d = squarefree_extract(d)
-            b *= s
-        if d == 1:
-            a, b, d = a + b, 0, 0
-        elif d == 0 or b == 0:
-            b, d = 0, 0
-        if c < 0:
-            a, b, c = -a, -b, -c
-        if b == 0:
-            d = 0
-        g = gcd(gcd(abs(a), abs(b)), c)
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def from_rational(cls, x: Rat) -> "LevelSolution":
-        x = Fraction(x)
-        return cls(x.numerator, 0, x.denominator, 0)
-
-    @classmethod
-    def from_quadratic(cls, x: QuadraticNumber) -> "LevelSolution":
-        if x.is_rational:
-            return cls.from_rational(x.p)
-        # common denominator for p and q
-        den = x.p.denominator * x.q.denominator // gcd(x.p.denominator, x.q.denominator)
-        a = x.p.numerator * (den // x.p.denominator)
-        b = x.q.numerator * (den // x.q.denominator)
-        return cls(a, b, den, x.d)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
-    def to_fraction(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self.a, self.c)
-
-    def as_quadratic(self) -> QuadraticNumber:
-        return QuadraticNumber(Fraction(self.a, self.c), Fraction(self.b, self.c), self.d)
-
-    def sort_key(self):
-        return (self.d, Fraction(self.a, self.c), Fraction(self.b, self.c))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LevelSolution):
-            return NotImplemented
-        return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.c, self.d))
-
-    def __repr__(self):
-        return f"LevelSolution({self.a}, {self.b}, {self.c}, {self.d})"
-
-    def __str__(self):
-        if self.is_rational:
-            return str(self.a) if self.c == 1 else f"{self.a}/{self.c}"
-        sign = "+" if self.b >= 0 else "-"
-        core = f"{self.a}{sign}{abs(self.b)}*sqrt({self.d})"
-        return f"({core})/{self.c}" if self.c != 1 else f"({core})"
+        c = lcm(self.p.denominator, self.q.denominator)
+        a, b = int(self.p * c), int(self.q * c)
+        sign = "+" if b >= 0 else "-"
+        core = f"{a}{sign}{abs(b)}*sqrt({self.d})"
+        return f"({core})/{c}" if c != 1 else f"({core})"
 
 
 def parse_rational(text: str) -> Fraction:

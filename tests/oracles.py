@@ -7,14 +7,17 @@ expansion, a convolve-and-peel decomposition checks the tensor-product path,
 `Fraction` Freudenthal over every weight and a `Fraction`-height peel check
 the integer, orbit-driven weight systems and decompositions, and
 `Fraction`-dict series products check the integer eta-quotient recurrences
-of the character models and identity sides.  They are deliberately slow and simple.
+of the character models and identity sides, and `Fraction` evaluation at
+every candidate checks the integer rational-root search of the level solver.
+They are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Sequence, Tuple
+from math import lcm
+from typing import Dict, List, Sequence, Tuple
 
 from lieconf.liealg import SimpleAlgebra
 from lieconf.qseries import (
@@ -310,3 +313,39 @@ def fraction_identity_sides(which: str, order: int) -> Tuple[PuiseuxSeries, Puis
     rhs = _phi_inverse_power(6, order) * _signed_double_sum(order)
     rhs = rhs * PuiseuxSeries.monomial(Fraction(1, 8), 1, order + 1)
     return lhs, rhs.truncate(order)
+
+
+# ---------------------------------------------------------------------------
+# rational roots by Fraction evaluation at every candidate
+
+
+def fraction_rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
+    """Sorted rational roots, with multiplicity, of a polynomial given constant first.
+
+    Every +-p/q with p dividing the cleared constant term and q the cleared
+    leading coefficient is evaluated in `Fraction`s; each root found is
+    divided out and the search starts again.
+    """
+    coeffs = [Fraction(c) for c in coeffs]
+    roots: List[Fraction] = []
+    while len(coeffs) > 1:
+        scale = lcm(*(c.denominator for c in coeffs))
+        first, last = int(coeffs[0] * scale), int(coeffs[-1] * scale)
+        candidates = [Fraction(0)] + [
+            Fraction(sign * p, q)
+            for p in range(1, abs(first) + 1) if first % p == 0
+            for q in range(1, abs(last) + 1) if last % q == 0
+            for sign in (1, -1)
+        ]
+        root = next(
+            (r for r in candidates if sum(c * r**i for i, c in enumerate(coeffs)) == 0), None
+        )
+        if root is None:
+            break
+        roots.append(root)
+        quotient, carry = [], Fraction(0)
+        for c in reversed(coeffs[1:]):
+            carry = carry * root + c
+            quotient.append(carry)
+        coeffs = quotient[::-1]
+    return sorted(roots)

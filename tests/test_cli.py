@@ -6,6 +6,7 @@ import json
 import subprocess
 import sys
 import time
+from importlib import resources
 
 import pytest
 
@@ -135,6 +136,25 @@ class TestConformalSolve:
     def test_unknown_case_label_is_a_usage_error(self):
         assert run(["conformal", "solve", "--case", "nonesuch"])[0] == 2
 
+    @pytest.mark.parametrize(
+        "ambient, factors, levels",
+        [
+            ("E6", "A2,A2,A2", ["-3", "1"]),
+            ("D4", "A1,A1,A1,A1", ["-2", "1"]),
+        ],
+    )
+    def test_rational_roots_deflate_a_cubic(self, ambient, factors, levels):
+        code, doc = run_json(["conformal", "solve", "--ambient", ambient, "--factors", factors])
+        assert code == 0
+        assert [row["level"] for row in doc["rows"]] == levels
+
+    def test_cubic_without_a_rational_root_is_a_usage_error(self):
+        code, out, err = run(
+            ["conformal", "solve", "--ambient", "C4", "--factors", "A1^2,A1^3,A1"]
+        )
+        assert code == 2 and out == ""
+        assert "keeps degree 3" in err
+
 
 class TestConformalCheck:
     def test_balanced_level_exits_zero(self):
@@ -226,6 +246,21 @@ class TestClassify:
         assert len(doc["rows"]) == 114
         assert all(r["status"] == "ok" for r in doc["rows"])
 
+    def test_wrong_stated_level_fails_exactly_its_row(self, tmp_path):
+        shipped = json.loads(
+            resources.files("lieconf").joinpath("data/exceptional.json").read_text()
+        )
+        entry = dict(shipped[0], level="-5")
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps([entry]))
+        code, doc = run_json(["classify", "exceptional", "--catalog", str(path)])
+        assert code == 1
+        assert [(r["label"], r["status"]) for r in doc["rows"]] == [(entry["label"], "fail")]
+        code, doc = run_json(["classify", "global", "--catalog", str(path)])
+        assert code == 1
+        failed = [r["label"] for r in doc["rows"] if r["status"] != "ok"]
+        assert failed == [f"{entry['label']}@-5"]
+
     def test_global_report_is_deterministic(self):
         _, first, _ = run(["--format", "json", "classify", "global"])
         _, second, _ = run(["--format", "json", "classify", "global"])
@@ -242,6 +277,12 @@ class TestClassify:
         (["rep", "dim", "D101", ",".join(["0"] * 101)], "MAX_TABLE_RANK"),
         (["classify", "table1", "B3", "--bound", "1000000"], "MAX_SCAN_BOUND"),
         (["classify", "sl-irreducible", "--max-rank", "1000"], "MAX_SEARCH_RANK"),
+        (["conformal", "solve", "--ambient", "A100000000", "--factors", "A1"], "MAX_LEVEL_COEFF"),
+        (["conformal", "solve", "--ambient", "A1", "--factors", "A10000000"], "MAX_LEVEL_COEFF"),
+        (
+            ["conformal", "solve", "--ambient", "E8", "--factors", "A1^10000000000000"],
+            "MAX_LEVEL_COEFF",
+        ),
     ],
 )
 def test_size_above_a_cap_fails_at_once(argv, cap):
@@ -332,6 +373,12 @@ class TestFlagsAndIO:
             ["conformal", "solve", "--case", "G2-in-B3", "--catalog", str(path)]
         )
         assert code == 0
+
+    def test_missing_catalog_file_is_a_usage_error(self, tmp_path):
+        code, out, err = run(
+            ["classify", "exceptional", "--catalog", str(tmp_path / "absent.json")]
+        )
+        assert code == 2 and out == "" and err.startswith("error:")
 
     def test_no_arguments_is_a_usage_error(self):
         assert run([])[0] == 2

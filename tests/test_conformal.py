@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lieconf.liealg import LieError, build_algebra
 from lieconf.embed import dual_pair_branching, load_catalog, resolve_case
-from lieconf.surd import LevelSolution, QuadraticNumber
+from lieconf.surd import QuadraticNumber
 from lieconf.conformal import (
     EXCLUDED_CANDIDATES,
     a1_exclusion_check,
@@ -22,7 +22,11 @@ from lieconf.conformal import (
     search_so_irreducible,
     solve_levels,
     table1_scan,
+    verify_case,
 )
+from lieconf.conformal import _rational_roots
+
+from oracles import fraction_rational_roots
 
 
 def levels_of(case):
@@ -125,6 +129,43 @@ class TestSolveLevels:
     def test_zero_root_removed(self):
         case = dual_pair_branching("slsl", 2, 2)
         assert Fraction(0) not in rational_levels(case)
+
+    def test_levels_sorted_rationals_first(self):
+        # a cubic: one rational root deflated out, then a real surd pair
+        sols = _solve_excluded("E6", (("A1", 1), ("A1", 1), ("A1", 2)))
+        assert [str(s) for s in sols] == [
+            "-2", "(-19-1*sqrt(269))/23", "(-19+1*sqrt(269))/23"]
+        assert sols == sorted(sols, key=lambda s: (s.d, s.p, s.q))
+        assert sols[0].is_rational and sols[1] < sols[2]
+
+
+small_roots = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=6)
+)
+
+
+def _from_roots(roots, tail):
+    coeffs = [Fraction(c) for c in tail]
+    for r in roots:
+        coeffs = [-r * coeffs[0]] + [
+            coeffs[i - 1] - r * coeffs[i] for i in range(1, len(coeffs))
+        ] + [coeffs[-1]]
+    return coeffs
+
+
+class TestRationalRoots:
+    @given(st.lists(small_roots, max_size=4), st.sampled_from([[1], [1, 0, 1], [3, 1, 5], [-2, 0, 1]]))
+    def test_recovers_every_root_with_multiplicity(self, roots, tail):
+        # tail is 1, k^2 + 1, 5k^2 + k + 3 or k^2 - 2: none has a rational root
+        found = _rational_roots(_from_roots(roots, tail))
+        assert sorted(found) == sorted(roots)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=6)
+           .filter(lambda c: c[-1] != 0))
+    def test_matches_fraction_oracle(self, ints):
+        coeffs = [Fraction(c) for c in ints]
+        assert sorted(_rational_roots(list(coeffs))) == fraction_rational_roots(coeffs)
 
 
 def _solve_excluded(ambient, factors):
@@ -355,6 +396,20 @@ class TestTable1Scan:
     def test_bad_bound_rejected(self):
         with pytest.raises(LieError):
             table1_scan("B2", 0)
+
+
+class TestVerifyCase:
+    def test_diagonal_pair_is_ok_only_when_criticality_is_expected(self):
+        case = resolve_case("slsl:3,3")
+        expected = verify_case(case, -1, expect_critical=True)
+        assert expected.ok and expected.stated_is_root and expected.flags.critical
+        unexpected = verify_case(case, -1)
+        assert not unexpected.ok and not unexpected.ap.all_balanced
+
+    def test_level_that_is_no_root(self):
+        verdict = verify_case(resolve_case("G2-in-B3"), Fraction(5, 3))
+        assert verdict.levels == [-2]
+        assert not verdict.stated_is_root and not verdict.ok
 
 
 class TestGlobalReport:

@@ -1,12 +1,13 @@
 """Exact quadratic-surd arithmetic."""
 
+import re
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lieconf.surd import (
-    LevelSolution,
     QuadraticNumber,
     parse_rational,
     squarefree_extract,
@@ -98,37 +99,51 @@ class TestQuadraticNumber:
         assert r + x == x + r and r * x == x * r
 
 
-class TestLevelSolution:
+class TestQuadraticNormalForm:
+    """The normal form of solved levels and its (a+b*sqrt(d))/c spelling."""
+
     def test_normalization_collapses_square(self):
-        s = LevelSolution(1, 1, 2, 4)  # (1 + sqrt(4)) / 2 = 3/2
-        assert s.is_rational and s.to_fraction() == Fraction(3, 2)
+        x = quad(Fraction(1, 2), Fraction(1, 2), 4)  # (1 + sqrt(4)) / 2 = 3/2
+        assert x.is_rational and x.to_fraction() == Fraction(3, 2)
+        assert str(x) == "3/2"
 
     def test_normalization_extracts_square_factor(self):
-        s = LevelSolution(0, 1, 1, 12)  # sqrt(12) = 2 sqrt(3)
-        t = LevelSolution(0, 2, 1, 3)
-        assert s == t
+        x = quad(0, 1, 12)  # sqrt(12) = 2 sqrt(3)
+        assert (x.p, x.q, x.d) == (0, 2, 3)
+        assert x == quad(0, 2, 3) and hash(x) == hash(quad(0, 2, 3))
 
     def test_denominator_sign_and_gcd(self):
-        assert LevelSolution(2, 4, -2, 5) == LevelSolution(-1, -2, 1, 5)
+        # (2 + 4 sqrt(5)) / (-2) = -1 - 2 sqrt(5)
+        assert str(quad(Fraction(2, -2), Fraction(4, -2), 5)) == "(-1-2*sqrt(5))"
+        assert str(quad(Fraction(6, 4), Fraction(2, 4), 5)) == "(3+1*sqrt(5))/2"
+
+    @given(small_ints, small_ints.filter(bool), st.integers(1, 30), radicands)
+    def test_string_is_the_reduced_normal_form(self, a, b, c, d):
+        x = quad(Fraction(a, c), Fraction(b, c), d)
+        match = re.fullmatch(r"\((-?\d+)([+-])(\d+)\*sqrt\((\d+)\)\)(?:/(\d+))?", str(x))
+        assert match, str(x)
+        a2, b2, d2 = int(match[1]), int(match[3]), int(match[4])
+        b2 = -b2 if match[2] == "-" else b2
+        c2 = int(match[5] or 1)
+        assert c2 > 0 and gcd(gcd(a2, b2), c2) == 1 and d2 == d
+        assert quad(Fraction(a2, c2), Fraction(b2, c2), d2) == x
 
     def test_from_rational_roundtrip(self):
-        s = LevelSolution.from_rational(Fraction(-5, 2))
-        assert s.is_rational and s.to_fraction() == Fraction(-5, 2)
+        x = QuadraticNumber(Fraction(-5, 2))
+        assert x.is_rational and x.to_fraction() == Fraction(-5, 2)
+        assert str(x) == "-5/2" and str(QuadraticNumber(17)) == "17"
 
-    def test_as_quadratic_matches(self):
-        s = LevelSolution(479, 3, 1524, 46265)
-        q = s.as_quadratic()
-        # (1524 q - 479)^2 == 9 * 46265
-        lhs = (1524 * q - 479)
+    def test_surd_level_satisfies_its_equation(self):
+        x = quad(Fraction(479, 1524), Fraction(3, 1524), 46265)
+        assert str(x) == "(479+3*sqrt(46265))/1524"
+        lhs = 1524 * x - 479  # (1524 x - 479)^2 == 9 * 46265
         assert (lhs * lhs).to_fraction() == 9 * 46265
 
-    def test_sort_key_orders_rationals_first(self):
-        a = LevelSolution.from_rational(Fraction(1))
-        b = LevelSolution(0, 1, 1, 5)
-        assert sorted([b, a], key=lambda s: s.sort_key())[0] == a
-
     def test_irrational_pair_not_equal(self):
-        assert LevelSolution(479, 3, 1524, 46265) != LevelSolution(479, -3, 1524, 46265)
+        plus = quad(Fraction(479, 1524), Fraction(3, 1524), 46265)
+        minus = quad(Fraction(479, 1524), Fraction(-3, 1524), 46265)
+        assert plus != minus and minus < plus
+        assert str(minus) == "(479-3*sqrt(46265))/1524"
 
 
 class TestParseRational:
