@@ -7,6 +7,10 @@ Every command renders either a human-readable table (default) or JSON
 layout), and both renderers consume the same payload, so the JSON re-parses
 to exactly the table's values.  Exit codes: 0 success/verified, 1 a
 verification failed, 2 usage or validation error.
+
+Each handler imports the layers it calls when it runs, so a command loads
+only those layers: ``qseries`` loads ``lieconf.qseries`` alone, ``algebra``
+and ``rep`` load ``liealg`` and ``reps``.
 """
 
 from __future__ import annotations
@@ -14,37 +18,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .liealg import AlgebraType, LieError, build_algebra
-from .reps import (
-    casimir,
-    dynkin_index,
-    freudenthal_weights,
-    height_form,
-    tensor_decompose,
-    weyl_dim,
-)
-from .embed import (
-    DUAL_PAIR_FAMILIES,
-    SubalgebraSpec,
-    dual_pair_branching,
-    load_catalog,
-    resolve_case,
-)
-from .conformal import (
-    ap_check,
-    global_report,
-    level_flags,
-    search_sl_irreducible,
-    search_so_irreducible,
-    solve_levels,
-    table1_scan,
-    verify_case,
-)
-from .qseries import CHARACTER_MODELS, IDENTITY_NAMES, character, verify_identity
-from .surd import parse_rational
+from . import CHARACTER_MODELS, DUAL_PAIR_FAMILIES, IDENTITY_NAMES
 
 TABLE2_FAMILIES = ("slsl", "spsp", "soso", "spso", "BB")
 
@@ -57,7 +32,7 @@ class UsageError(ValueError):
 # small parsers and formatters
 
 
-def _parse_weight(text: str, rank: int) -> Tuple[int, ...]:
+def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
@@ -69,7 +44,14 @@ def _parse_weight(text: str, rank: int) -> Tuple[int, ...]:
     return coords
 
 
-def _parse_factors(text: str) -> SubalgebraSpec:
+def _parse_factors(text: str):
+    """The ``--factors`` list as a SubalgebraSpec."""
+    from fractions import Fraction
+
+    from .embed import SubalgebraSpec
+    from .liealg import AlgebraType
+    from .surd import parse_rational
+
     factors = []
     for token in text.split(","):
         token = token.strip()
@@ -86,7 +68,7 @@ def _parse_factors(text: str) -> SubalgebraSpec:
     return SubalgebraSpec(tuple(factors), label="")
 
 
-def _fmt(value: Any) -> str:
+def _fmt(value: object) -> str:
     if value is None:
         return "-"
     if isinstance(value, bool):
@@ -96,16 +78,16 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _weight_str(coords: Sequence[int]) -> str:
+def _weight_str(coords: tuple | list) -> str:
     return "[" + ",".join(str(c) for c in coords) + "]"
 
 
-def _component_str(comp: Sequence[Sequence[int]]) -> str:
+def _component_str(comp: tuple | list) -> str:
     return "x".join(_weight_str(w) for w in comp)
 
 
-def _render_table(payload: Dict[str, Any]) -> str:
-    lines: List[str] = []
+def _render_table(payload: dict) -> str:
+    lines: list[str] = []
     title = payload.get("title")
     if title:
         lines.append(str(title))
@@ -132,7 +114,7 @@ def _render_table(payload: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def _render(payload: Dict[str, Any], fmt: str) -> str:
+def _render(payload: dict, fmt: str) -> str:
     if fmt == "json":
         clean = {k: v for k, v in payload.items() if k != "columns"}
         return json.dumps(clean, indent=2, sort_keys=True)
@@ -140,12 +122,15 @@ def _render(payload: Dict[str, Any], fmt: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (payload, exit_code)
+# command handlers: each imports the layers it calls and returns
+# (payload, exit_code)
 
-Handler = Tuple[Dict[str, Any], int]
+Handler = tuple[dict, int]
 
 
 def _cmd_algebra_info(args) -> Handler:
+    from .liealg import build_algebra
+
     alg = build_algebra(args.type)
     payload = {
         "title": f"simple algebra {alg.type}",
@@ -163,9 +148,12 @@ def _cmd_algebra_info(args) -> Handler:
 
 
 def _cmd_rep(args) -> Handler:
+    from .liealg import build_algebra
+    from .reps import casimir, dynkin_index, freudenthal_weights, height_form, weyl_dim
+
     alg = build_algebra(args.type)
     lam = _parse_weight(args.weight, alg.rank)
-    payload: Dict[str, Any] = {
+    payload: dict = {
         "type": str(alg.type),
         "weight": list(lam),
     }
@@ -194,6 +182,9 @@ def _cmd_rep(args) -> Handler:
 
 
 def _cmd_rep_tensor(args) -> Handler:
+    from .liealg import build_algebra
+    from .reps import tensor_decompose, weyl_dim
+
     alg = build_algebra(args.type)
     lam = _parse_weight(args.w1, alg.rank)
     mu = _parse_weight(args.w2, alg.rank)
@@ -216,7 +207,7 @@ def _cmd_rep_tensor(args) -> Handler:
     return payload, 0
 
 
-def _case_payload(case) -> Dict[str, Any]:
+def _case_payload(case) -> dict:
     return {
         "label": case.label or case.sub.describe(),
         "ambient": str(case.ambient),
@@ -232,6 +223,8 @@ def _case_payload(case) -> Dict[str, Any]:
 
 
 def _cmd_branch(args) -> Handler:
+    from .embed import dual_pair_branching
+
     if args.family not in DUAL_PAIR_FAMILIES:
         raise UsageError(
             f"unknown family {args.family!r}; choose from {', '.join(DUAL_PAIR_FAMILIES)}"
@@ -247,11 +240,16 @@ def _cmd_branch(args) -> Handler:
     return payload, 0
 
 
-def _resolve(args) -> Any:
+def _resolve(args):
+    from .embed import load_catalog, resolve_case
+
     return resolve_case(args.case, load_catalog(args.catalog))
 
 
 def _cmd_conformal_solve(args) -> Handler:
+    from .conformal import level_flags, solve_levels
+    from .liealg import AlgebraType
+
     if args.case:
         case = _resolve(args)
         ambient, sub, groups = case.ambient, case.sub, case.slot_groups
@@ -285,6 +283,9 @@ def _cmd_conformal_solve(args) -> Handler:
 
 
 def _cmd_conformal_check(args) -> Handler:
+    from .conformal import ap_check, level_flags
+    from .surd import parse_rational
+
     case = _resolve(args)
     level = parse_rational(args.level)
     report = ap_check(case, level)
@@ -315,6 +316,19 @@ def _cmd_conformal_check(args) -> Handler:
 
 
 def _cmd_classify(args) -> Handler:
+    from .conformal import (
+        global_report,
+        level_flags,
+        search_sl_irreducible,
+        search_so_irreducible,
+        solve_levels,
+        table1_scan,
+        verify_case,
+    )
+    from .embed import dual_pair_branching, load_catalog
+    from .liealg import build_algebra
+    from .reps import dynkin_index, weyl_dim
+
     which = args.target
     if which == "table2":
         rows = []
@@ -416,6 +430,8 @@ def _cmd_classify(args) -> Handler:
 
 
 def _cmd_qseries(args) -> Handler:
+    from .qseries import character, verify_identity
+
     if args.qop == "char":
         series = character(args.model, args.ell, args.order)
         payload = {
@@ -550,7 +566,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_level_values(argv: Sequence[str]) -> list:
+def _glue_level_values(argv: list[str]) -> list:
     """Join ``--level -5/3`` into ``--level=-5/3``.
 
     argparse only recognizes ``-<digits>`` and ``-<digits>.<digits>`` as
@@ -571,7 +587,7 @@ def _glue_level_values(argv: Sequence[str]) -> list:
     return out
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
@@ -579,9 +595,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(_glue_level_values(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
+    # UsageError and every layer's error (LieError, SizeError, SeriesError)
+    # are ValueErrors.
     try:
         payload, code = args.handler(args)
-    except (UsageError, LieError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = _render(payload, args.format)
@@ -594,7 +612,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone (``| head``).  Point stdout at devnull
+        # so that the flush at interpreter exit cannot raise again.
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -76,6 +76,12 @@ MAX_SEARCH_RANK = 20
 # the worst case under the cap (end coefficients with 504 divisors, no
 # rational root) takes about 0.35 s.
 MAX_LEVEL_COEFF = 2**24
+# Cap on the charge entries (physical factors plus the ambient): the
+# polynomial build takes O(N^3) Fraction steps and runs before the
+# coefficient cap can be checked.  Shipped, benchmarked and tested cases have
+# at most five entries; the worst case under the cap (32 entries, 40-bit
+# indices) takes about 0.5 s.
+MAX_LEVEL_ENTRIES = 32
 
 
 def _as_number(k: Level) -> Union[Fraction, QuadraticNumber]:
@@ -265,10 +271,15 @@ def solve_levels(
     k = 0 removed).  Roots at which a factor or the ambient algebra is
     critical are included; flag them with :func:`level_flags`.  Raises when
     more than a quadratic remains after rational-root deflation, and
-    SizeError when a cleared coefficient exceeds MAX_LEVEL_COEFF.
+    SizeError above MAX_LEVEL_ENTRIES factors or when a cleared coefficient
+    exceeds MAX_LEVEL_COEFF.
     """
     ambient = build_algebra(ambient)
     entries = _charge_entries(ambient, sub, slot_groups)
+    if len(entries) > MAX_LEVEL_ENTRIES:
+        raise SizeError(
+            f"charge-matching equation has {len(entries)} entries (physical factors "
+            f"plus the ambient); it exceeds the cap MAX_LEVEL_ENTRIES = {MAX_LEVEL_ENTRIES}")
     # M(k) = sum_e w_e * prod_{e' != e} (k - pole_e'); the factor-slope j and
     # the removed overall factor k are already absorbed.
     total = [Fraction(0)]

@@ -24,6 +24,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
+from . import DUAL_PAIR_FAMILIES
 from .liealg import (
     AlgebraType,
     Coords,
@@ -317,9 +318,6 @@ def _build_case(
 
 # ---------------------------------------------------------------------------
 # dual-pair constructions
-
-DUAL_PAIR_FAMILIES = ("slsl", "spsp", "soso", "spso", "BB", "CC", "OO")
-
 
 def _block_groups(*sizes: int) -> Tuple[Tuple[int, ...], ...]:
     """Consecutive slot blocks of the given sizes, as a slot-group partition."""

@@ -21,6 +21,8 @@ from math import gcd, lcm
 from operator import add, mul
 from typing import Dict, List, Optional, Tuple, Union
 
+from . import CHARACTER_MODELS, IDENTITY_NAMES
+
 __all__ = [
     "PuiseuxSeries",
     "euler_phi",
@@ -464,9 +466,6 @@ def _eta_side(
     return _from_grid(coeffs, denom, shift, order)
 
 
-CHARACTER_MODELS = ("sl2_m32", "sl2_m4", "weyl_M3", "delta")
-
-
 def character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeries:
     """Closed-form character series, exactly, truncated at q^order.
 
@@ -509,8 +508,6 @@ def character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeries:
 # Each identity is expanded on both sides independently.  Double sums are
 # truncated by the exact exponent bound: a summand enters iff its lowest
 # emitted exponent lies below the order, never by an index heuristic.
-
-IDENTITY_NAMES = ("delta_eta", "eq92", "kw", "thm92")
 
 
 def _signed_double_sum(order: int) -> PuiseuxSeries:

@@ -148,6 +148,7 @@ def fraction_weight_system(alg: SimpleAlgebra, lam: Coords) -> Dict[Coords, int]
     cols = alg.cartan_columns
     inv = alg.cartan_inv
 
+    @lru_cache(maxsize=None)
     def depth_coords(w: Coords) -> tuple[Fraction, ...]:
         diff = tuple(x - y for x, y in zip(lam, w))
         return tuple(sum(inv[i][j] * diff[j] for j in range(n)) for i in range(n))

@@ -1,5 +1,5 @@
-"""Acceptance suite: the seven shipped guarantees, one test (and one
-``pytest -v`` line) apiece.
+"""Acceptance suite: the seven shipped guarantees and the paper's worked
+examples, one test (and one ``pytest -v`` line) apiece.
 
 Every comparison below is exact — integers and rationals only, no floats,
 no tolerances.  Randomized sections draw from a fixed seed so failures
@@ -17,7 +17,7 @@ from lieconf.reps import (
     tensor_decompose,
     weyl_dim,
 )
-from lieconf.embed import dual_pair_branching, load_catalog
+from lieconf.embed import dual_pair_branching, load_catalog, resolve_case
 from lieconf.conformal import (
     EXCLUDED_CANDIDATES,
     a1_exclusion_check,
@@ -28,6 +28,7 @@ from lieconf.conformal import (
     search_so_irreducible,
     solve_levels,
     table1_scan,
+    verify_case,
 )
 from lieconf.qseries import PuiseuxSeries, identity_sides, verify_identity
 
@@ -236,3 +237,17 @@ def test_criterion_7_structural_invariants():
         assert alg.dim == alg.rank + 2 * alg.num_positive, str(typ)
         assert len(alg.positive_roots_alpha) == alg.num_positive, str(typ)
         assert dynkin_index(alg, alg.theta) == alg.dual_coxeter, str(typ)
+
+
+def test_criterion_8_paper_worked_examples():
+    # sp(2) x so(3) in sp(6) and sp(2) x so(8) in sp(16), both at k = -1/2
+    for label, ambient in (("spso:1,3", "C3"), ("spso:1,8", "C8")):
+        case = resolve_case(label)
+        assert str(case.ambient) == ambient, label
+        verdict = verify_case(case, Fraction(-1, 2))
+        assert verdict.stated_is_root, label
+        assert verdict.flags.critical_factors == (), label
+        assert not verdict.flags.ambient_critical, label
+        assert verdict.ap.all_balanced and verdict.ok, label
+        factor_dims = sum(build_algebra(typ).dim for typ, _ in case.sub.factors)
+        assert case.p_components.dim() + factor_dims == build_algebra(case.ambient).dim, label

@@ -3,13 +3,16 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import lieconf
 from lieconf.cli import main
 from lieconf.liealg import build_algebra
 from lieconf.reps import casimir, dynkin_index, weyl_dim
@@ -20,6 +23,11 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _env():
+    """The environment for a fresh interpreter that imports this lieconf."""
+    return dict(os.environ, PYTHONPATH=str(Path(lieconf.__file__).resolve().parents[1]))
 
 
 def run_json(argv):
@@ -283,6 +291,10 @@ class TestClassify:
             ["conformal", "solve", "--ambient", "E8", "--factors", "A1^10000000000000"],
             "MAX_LEVEL_COEFF",
         ),
+        (
+            ["conformal", "solve", "--ambient", "E8", "--factors", ",".join(["A1"] * 200)],
+            "MAX_LEVEL_ENTRIES",
+        ),
     ],
 )
 def test_size_above_a_cap_fails_at_once(argv, cap):
@@ -386,6 +398,19 @@ class TestFlagsAndIO:
     def test_help_exits_zero(self):
         assert run(["--help"])[0] == 0
 
+    def test_closed_stdout_exits_1_without_a_traceback(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "lieconf.cli", "algebra", "info", "G2"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=_env(),
+        )
+        proc.stdout.close()  # the reader goes away before the command writes
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == b""
+
     def test_module_execution(self):
         proc = subprocess.run(
             [sys.executable, "-m", "lieconf.cli", "algebra", "info", "G2"],
@@ -394,3 +419,49 @@ class TestFlagsAndIO:
         )
         assert proc.returncode == 0
         assert "G2" in proc.stdout
+
+
+# Each probe runs in a fresh interpreter: this process has every layer loaded.
+_IMPORT_PROBE = r"""
+import contextlib, io, json, sys
+import lieconf.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert lieconf.cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("lieconf", "dataclasses"))))
+"""
+
+LATE_LAYERS = {"lieconf.embed", "lieconf.conformal", "lieconf.qseries", "lieconf.surd"}
+
+
+def _modules_after(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=_env(),
+    )
+    return set(json.loads(proc.stdout))
+
+
+class TestImportSets:
+    def test_importing_the_cli_loads_no_layer(self):
+        assert _modules_after([]) == {"lieconf", "lieconf.cli"}
+
+    def test_qseries_loads_only_qseries(self):
+        modules = _modules_after(["qseries", "verify", "eq92", "--order", "5"])
+        assert modules == {"lieconf", "lieconf.cli", "lieconf.qseries"}
+
+    @pytest.mark.parametrize("argv", [["rep", "dim", "A1", "1"], ["algebra", "info", "A2"]])
+    def test_algebra_and_rep_load_no_later_layer(self, argv):
+        modules = _modules_after(argv)
+        assert "lieconf.liealg" in modules
+        assert not modules & LATE_LAYERS
+
+    def test_package_names_resolve_lazily(self):
+        assert lieconf.AlgebraType is lieconf.liealg.AlgebraType
+        assert lieconf.build_algebra("A2").dim == 8
+        with pytest.raises(AttributeError):
+            lieconf.no_such_name
