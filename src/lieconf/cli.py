@@ -6,7 +6,7 @@ Every command renders either a human-readable table (default) or JSON
 (``--format json``); JSON output is deterministic (sorted keys, fixed
 layout), and both renderers consume the same payload, so the JSON re-parses
 to exactly the table's values.  Exit codes: 0 success/verified, 1 a
-verification failed, 2 usage or validation error.
+verification failed or stdout was closed early, 2 usage or validation error.
 
 Each handler imports the layers it calls when it runs, so a command loads
 only those layers: ``qseries`` loads ``lieconf.qseries`` alone, ``algebra``
@@ -18,8 +18,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from . import CHARACTER_MODELS, DUAL_PAIR_FAMILIES, IDENTITY_NAMES
+
+if TYPE_CHECKING:
+    from .embed import SubalgebraSpec
 
 TABLE2_FAMILIES = ("slsl", "spsp", "soso", "spso", "BB")
 
@@ -32,7 +36,7 @@ class UsageError(ValueError):
 # small parsers and formatters
 
 
-def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
+def _parse_weight(text: str, rank: int) -> Tuple[int, ...]:
     try:
         coords = tuple(int(part.strip()) for part in text.split(","))
     except ValueError:
@@ -44,8 +48,7 @@ def _parse_weight(text: str, rank: int) -> tuple[int, ...]:
     return coords
 
 
-def _parse_factors(text: str):
-    """The ``--factors`` list as a SubalgebraSpec."""
+def _parse_factors(text: str) -> SubalgebraSpec:
     from fractions import Fraction
 
     from .embed import SubalgebraSpec
@@ -68,7 +71,7 @@ def _parse_factors(text: str):
     return SubalgebraSpec(tuple(factors), label="")
 
 
-def _fmt(value: object) -> str:
+def _fmt(value: Any) -> str:
     if value is None:
         return "-"
     if isinstance(value, bool):
@@ -78,16 +81,16 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _weight_str(coords: tuple | list) -> str:
+def _weight_str(coords: Sequence[int]) -> str:
     return "[" + ",".join(str(c) for c in coords) + "]"
 
 
-def _component_str(comp: tuple | list) -> str:
+def _component_str(comp: Sequence[Sequence[int]]) -> str:
     return "x".join(_weight_str(w) for w in comp)
 
 
-def _render_table(payload: dict) -> str:
-    lines: list[str] = []
+def _render_table(payload: Dict[str, Any]) -> str:
+    lines: List[str] = []
     title = payload.get("title")
     if title:
         lines.append(str(title))
@@ -114,7 +117,7 @@ def _render_table(payload: dict) -> str:
     return "\n".join(lines)
 
 
-def _render(payload: dict, fmt: str) -> str:
+def _render(payload: Dict[str, Any], fmt: str) -> str:
     if fmt == "json":
         clean = {k: v for k, v in payload.items() if k != "columns"}
         return json.dumps(clean, indent=2, sort_keys=True)
@@ -125,7 +128,7 @@ def _render(payload: dict, fmt: str) -> str:
 # command handlers: each imports the layers it calls and returns
 # (payload, exit_code)
 
-Handler = tuple[dict, int]
+Handler = Tuple[Dict[str, Any], int]
 
 
 def _cmd_algebra_info(args) -> Handler:
@@ -153,7 +156,7 @@ def _cmd_rep(args) -> Handler:
 
     alg = build_algebra(args.type)
     lam = _parse_weight(args.weight, alg.rank)
-    payload: dict = {
+    payload: Dict[str, Any] = {
         "type": str(alg.type),
         "weight": list(lam),
     }
@@ -207,7 +210,7 @@ def _cmd_rep_tensor(args) -> Handler:
     return payload, 0
 
 
-def _case_payload(case) -> dict:
+def _case_payload(case) -> Dict[str, Any]:
     return {
         "label": case.label or case.sub.describe(),
         "ambient": str(case.ambient),
@@ -240,7 +243,7 @@ def _cmd_branch(args) -> Handler:
     return payload, 0
 
 
-def _resolve(args):
+def _resolve(args) -> Any:
     from .embed import load_catalog, resolve_case
 
     return resolve_case(args.case, load_catalog(args.catalog))
@@ -566,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_level_values(argv: list[str]) -> list:
+def _glue_level_values(argv: Sequence[str]) -> list:
     """Join ``--level -5/3`` into ``--level=-5/3``.
 
     argparse only recognizes ``-<digits>`` and ``-<digits>.<digits>`` as
@@ -587,7 +590,7 @@ def _glue_level_values(argv: list[str]) -> list:
     return out
 
 
-def main(argv: list[str] | None = None) -> int:
+def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     if argv is None:
         argv = sys.argv[1:]
