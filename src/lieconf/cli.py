@@ -599,18 +599,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     # UsageError and every layer's error (LieError, SizeError, SeriesError)
-    # are ValueErrors.
+    # are ValueErrors; an unwritable --out file raises OSError.  Stdout is
+    # written outside the try, so a closed stdout reaches entry().
     try:
         payload, code = args.handler(args)
+        text = _render(payload, args.format)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = _render(payload, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(text)
     return code
 
 

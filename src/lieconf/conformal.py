@@ -9,10 +9,9 @@ produce the known survivor lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .liealg import (
     AlgebraType,
@@ -311,8 +310,7 @@ def solve_levels(
     return sorted(set(solutions), key=lambda s: (s.d, s.p, s.q))
 
 
-@dataclass(frozen=True)
-class LevelFlags:
+class LevelFlags(NamedTuple):
     """Criticality data for one candidate level."""
 
     critical_factors: Tuple[int, ...]
@@ -344,8 +342,7 @@ def level_flags(
 # the balance criterion
 
 
-@dataclass
-class APReport:
+class APReport(NamedTuple):
     """Outcome of the balance criterion at one level.
 
     ``per_component`` rows are (component index, left-hand side, balanced);
@@ -442,8 +439,7 @@ def necessary_constants(
 # classification searches
 
 
-@dataclass(frozen=True)
-class IrreducibleFinding:
+class IrreducibleFinding(NamedTuple):
     algebra: AlgebraType
     weight: Coords
     dim_v: int
@@ -594,8 +590,7 @@ def table1_scan(alg: Union[SimpleAlgebra, AlgebraType, str], coord_bound: int) -
 # sl(2)-summand exclusion
 
 
-@dataclass(frozen=True)
-class A1ExclusionResult:
+class A1ExclusionResult(NamedTuple):
     """Integer summand dimensions solving each variant of the sl(2) test."""
 
     printed: Optional[int]
@@ -667,8 +662,7 @@ EXCLUDED_CANDIDATES: List[Tuple[str, Tuple[Tuple[str, int], ...], Tuple[Quadrati
 ]
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     ambient: AlgebraType
     description: str
     a1_index: Fraction
@@ -741,8 +735,7 @@ def _family_rows() -> List[Tuple[BranchingCase, Fraction, bool]]:
     return rows
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """The classification's decision on one case at one stated level.
 
     ``ok`` holds when the stated level is a charge-matching root, its

@@ -18,11 +18,10 @@ dim(ambient) = sum dim(factors) + dim(p).
 from __future__ import annotations
 
 import json
+import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import DUAL_PAIR_FAMILIES
 from .liealg import (
@@ -68,17 +67,23 @@ VERIFY_DIM_LIMIT = 64
 # core types
 
 
-@dataclass(frozen=True)
-class SubalgebraSpec:
-    """Simple factors of a semisimple subalgebra, each with its embedding index."""
-
+class _SubalgebraSpecFields(NamedTuple):
     factors: Tuple[Tuple[AlgebraType, Fraction], ...]
     label: str = ""
 
-    def __post_init__(self) -> None:
-        for typ, idx in self.factors:
+
+class SubalgebraSpec(_SubalgebraSpecFields):
+    """Simple factors of a semisimple subalgebra, each with its embedding index."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, factors: Tuple[Tuple[AlgebraType, Fraction], ...], label: str = ""
+    ) -> "SubalgebraSpec":
+        for typ, idx in factors:
             if idx <= 0:
                 raise LieError(f"embedding index must be positive, got {idx} for {typ}")
+        return super().__new__(cls, factors, label)
 
     @property
     def algebras(self) -> Tuple[SimpleAlgebra, ...]:
@@ -95,8 +100,7 @@ class SubalgebraSpec:
         return " x ".join(parts)
 
 
-@dataclass(frozen=True, eq=False)
-class BranchingCase:
+class BranchingCase(NamedTuple):
     """An adjoint branching g = (+)_j k_j (+) p with embedding data.
 
     ``slot_groups`` partitions the factor slots into physical factors: an
@@ -167,8 +171,7 @@ class Catalog:
 # adjoint module, and the traceless symmetric square.
 
 
-@dataclass(frozen=True)
-class _SoPieces:
+class _SoPieces(NamedTuple):
     types: Tuple[AlgebraType, ...]
     scales: Tuple[int, ...]
     vector: Tuple[Coords, ...]
@@ -589,6 +592,10 @@ def embedding_index(
 # ---------------------------------------------------------------------------
 # the shipped catalog
 
+# Read with a plain open: importlib.resources would load pathlib, zipfile and
+# tempfile on every command that loads the catalog.
+_SHIPPED_CATALOG = os.path.join(os.path.dirname(__file__), "data", "exceptional.json")
+
 
 def _parse_weight_rows(label: str, factors: Sequence[SimpleAlgebra], rows) -> Tuple[Coords, ...]:
     if not isinstance(rows, list) or len(rows) != len(factors):
@@ -672,8 +679,8 @@ def load_catalog(source=None) -> Catalog:
     rejects the whole document, naming the offending label.
     """
     if source is None:
-        text = resources.files("lieconf").joinpath("data/exceptional.json").read_text()
-        document = json.loads(text)
+        with open(_SHIPPED_CATALOG, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
     elif isinstance(source, (list, tuple)):
         document = list(source)
     else:

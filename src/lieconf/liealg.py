@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 Coords = tuple
 Rational = Union[int, Fraction]
@@ -48,20 +47,26 @@ class SizeError(LieError):
     """A computation would exceed a configured size cap."""
 
 
-@dataclass(frozen=True, order=True)
-class AlgebraType:
-    """A simple-algebra label: family letter A..G plus rank."""
-
+class _AlgebraTypeFields(NamedTuple):
     family: str
     rank: int
 
-    def __post_init__(self) -> None:
-        fam, n = self.family, self.rank
-        if fam not in _MIN_RANK:
-            raise LieError(f"unknown family {fam!r} (expected one of A..G)")
-        lo, hi = _MIN_RANK[fam], _MAX_RANK.get(fam, 10 ** 9)
-        if not lo <= n <= hi:
-            raise LieError(f"rank {n} invalid for family {fam} (allowed {lo}..{hi})")
+
+class AlgebraType(_AlgebraTypeFields):
+    """A simple-algebra label: family letter A..G plus rank.
+
+    An immutable (family, rank) tuple, so it sorts by family, then rank.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int) -> "AlgebraType":
+        if family not in _MIN_RANK:
+            raise LieError(f"unknown family {family!r} (expected one of A..G)")
+        lo, hi = _MIN_RANK[family], _MAX_RANK.get(family, 10 ** 9)
+        if not lo <= rank <= hi:
+            raise LieError(f"rank {rank} invalid for family {family} (allowed {lo}..{hi})")
+        return super().__new__(cls, family, rank)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

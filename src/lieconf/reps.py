@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .liealg import Coords, LieError, Rational, SimpleAlgebra, SizeError
 
@@ -37,11 +36,13 @@ def _weyl_data(alg: SimpleAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
 
     Each root alpha contributes the linear form lam -> sum_i (6 d_i a_i) lam_i;
     the returned denominator is the product of the forms evaluated at rho.
+    6 d_i is an integer for every family.
     """
+    d6 = [int(6 * di) for di in alg.d]
     rows = []
     denom = 1
     for a in alg.positive_roots_alpha:
-        row = tuple(int(6 * alg.d[i] * ai) for i, ai in enumerate(a))
+        row = tuple(x * ai for x, ai in zip(d6, a))
         rows.append(row)
         denom *= sum(row)
     return tuple(rows), denom
@@ -122,8 +123,7 @@ def dual_weight(alg: SimpleAlgebra, lam: Sequence[Rational]) -> Coords:
 # weight systems
 
 
-@dataclass
-class WeightSystem:
+class WeightSystem(NamedTuple):
     """Weight multiset of a module over a (product of) simple algebra(s).
 
     Keys are concatenated fundamental-weight coordinate tuples; values are
@@ -271,8 +271,7 @@ def product_weight_system(
 # decompositions
 
 
-@dataclass
-class Decomposition:
+class Decomposition(NamedTuple):
     """Multiset of irreducible components over a product of simple algebras.
 
     Keys are tuples of per-factor highest weights; values are multiplicities.

@@ -3,13 +3,14 @@
 Each oracle recomputes a quantity from first principles along a different
 algorithmic route than the library: alternating Weyl-orbit sums check
 character data, a quadratic-time Euler product checks the pentagonal-number
-expansion, a convolve-and-peel decomposition checks the tensor-product path,
-`Fraction` Freudenthal over every weight and a `Fraction`-height peel check
-the integer, orbit-driven weight systems and decompositions, and
-`Fraction`-dict series products check the integer eta-quotient recurrences
-of the character models and identity sides, and `Fraction` evaluation at
-every candidate checks the integer rational-root search of the level solver.
-They are deliberately slow and simple.
+expansion, the `Fraction` Weyl-dimension table checks the integer one, a
+convolve-and-peel decomposition checks the tensor-product path, `Fraction`
+Freudenthal over every weight and a `Fraction`-height peel check the
+integer, orbit-driven weight systems and decompositions, and `Fraction`-dict
+series products check the integer eta-quotient recurrences of the character
+models and identity sides, and `Fraction` evaluation at every candidate
+checks the integer rational-root search of the level solver.  They are
+deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -137,7 +138,32 @@ def peel_tensor(alg: SimpleAlgebra, lam: Coords, mu: Coords) -> Dict[Coords, int
 
 
 # ---------------------------------------------------------------------------
-# weight systems and peel-off decomposition over Fraction
+# Weyl dimension, weight systems and peel-off decomposition over Fraction
+
+
+def fraction_weyl_data(alg: SimpleAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The Weyl-dimension table with a `Fraction` product per root coordinate:
+    the row of root alpha holds 6 d_i a_i, the denominator is the product of
+    the rows summed (evaluated at rho)."""
+    rows = []
+    denom = 1
+    for a in alg.positive_roots_alpha:
+        row = tuple(int(6 * alg.d[i] * ai) for i, ai in enumerate(a))
+        rows.append(row)
+        denom *= sum(row)
+    return tuple(rows), denom
+
+
+def fraction_weyl_dim(alg: SimpleAlgebra, lam: Coords) -> int:
+    """prod over positive roots of (lam + rho, alpha) / (rho, alpha), from
+    `fraction_weyl_data`."""
+    rows, denom = fraction_weyl_data(alg)
+    value = Fraction(1, denom)
+    for row in rows:
+        value *= sum(r * (x + 1) for r, x in zip(row, lam))
+    if value.denominator != 1:
+        raise ValueError(f"non-integral Weyl dimension for {lam} of {alg.type}")
+    return int(value)
 
 
 @lru_cache(maxsize=None)

@@ -365,6 +365,12 @@ class TestFlagsAndIO:
         doc = json.loads(target.read_text())
         assert doc["dimension"] == 78
 
+    @pytest.mark.parametrize("where", ["missing-dir/x.txt", "."], ids=["no-parent", "a-directory"])
+    def test_unwritable_out_is_a_usage_error(self, tmp_path, where):
+        code, out, err = run(["--out", str(tmp_path / where), "algebra", "info", "G2"])
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_catalog_override_and_builtin_fallback(self, tmp_path):
         doc = [
             {
@@ -429,21 +435,26 @@ argv = json.loads(sys.argv[1])
 if argv:
     with contextlib.redirect_stdout(io.StringIO()):
         assert lieconf.cli.main(argv) == 0
-print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("lieconf", "dataclasses"))))
+print(json.dumps(sorted(sys.modules)))
 """
 
 LATE_LAYERS = {"lieconf.embed", "lieconf.conformal", "lieconf.qseries", "lieconf.surd"}
 
 
-def _modules_after(argv):
+def _loaded_after(argv, *flags):
+    """Every module loaded once a fresh interpreter has run ``lieconf argv``."""
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(argv)],
+        [sys.executable, *flags, "-c", _IMPORT_PROBE, json.dumps(argv)],
         capture_output=True,
         text=True,
         check=True,
         env=_env(),
     )
     return set(json.loads(proc.stdout))
+
+
+def _modules_after(argv):
+    return {m for m in _loaded_after(argv) if m.split(".")[0] in ("lieconf", "dataclasses")}
 
 
 class TestImportSets:
@@ -459,6 +470,22 @@ class TestImportSets:
         modules = _modules_after(argv)
         assert "lieconf.liealg" in modules
         assert not modules & LATE_LAYERS
+
+    # -S: no site hook may load these modules first and mask a regression.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rep", "dim", "E8", "1,0,0,0,0,0,0,0"],
+            ["branch", "dual-pair", "spso", "1", "3"],
+            ["conformal", "check", "--case", "G2xA1-in-F4", "--level", "-5/2"],
+            ["classify", "exceptional"],
+        ],
+        ids=["rep", "branch", "conformal", "classify"],
+    )
+    def test_no_command_loads_dataclasses_or_importlib_resources(self, argv):
+        loaded = _loaded_after(argv, "-S")
+        assert "lieconf.liealg" in loaded
+        assert not loaded & {"dataclasses", "inspect", "importlib.resources"}
 
     def test_package_names_resolve_lazily(self):
         assert lieconf.AlgebraType is lieconf.liealg.AlgebraType

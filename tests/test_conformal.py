@@ -411,6 +411,14 @@ class TestVerifyCase:
         assert verdict.levels == [-2]
         assert not verdict.stated_is_root and not verdict.ok
 
+    def test_verdict_is_immutable(self):
+        verdict = verify_case(resolve_case("G2-in-B3"), -2)
+        with pytest.raises(AttributeError):
+            verdict.ok = False
+        with pytest.raises(AttributeError):
+            verdict.reason = "x"
+        assert verdict.ok
+
 
 class TestGlobalReport:
     def test_full_report(self):

@@ -5,11 +5,13 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from lieconf.liealg import AlgebraType, LieError, build_algebra
 from lieconf.reps import freudenthal_weights
 from lieconf.embed import (
     DUAL_PAIR_FAMILIES,
+    SubalgebraSpec,
     builtin_labels,
     defining_weight,
     dual_pair_branching,
@@ -219,6 +221,45 @@ class TestCatalog:
         labels = builtin_labels()
         assert "G2xF4-in-E8" in labels
         assert any("spsl" in lab for lab in labels)
+
+
+_FACTOR = st.tuples(
+    st.sampled_from(["A1", "B3", "G2", "E8"]), st.integers(1, 40), st.integers(1, 6)
+)
+
+
+class TestValueTypeContracts:
+    @given(st.lists(_FACTOR, min_size=1, max_size=4), st.text(max_size=4))
+    def test_equal_specs_hash_equal(self, raw, label):
+        # The same indices, once as Fractions and once as ints where integral.
+        fracs = [(AlgebraType.parse(t), Fraction(p, q)) for t, p, q in raw]
+        mixed = [(t, int(j) if j.denominator == 1 else j) for t, j in fracs]
+        a = SubalgebraSpec(tuple(fracs), label)
+        b = SubalgebraSpec(tuple(mixed), label=label)
+        assert a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("index, shown", [(0, "0"), (Fraction(-1, 2), "-1/2")])
+    def test_non_positive_index_keeps_its_message(self, index, shown):
+        with pytest.raises(LieError) as info:
+            SubalgebraSpec(((AlgebraType("A", 1), index),))
+        assert str(info.value) == f"embedding index must be positive, got {shown} for A1"
+
+    def test_spec_and_case_are_immutable(self):
+        case = resolve_case("G2-in-B3")
+        for obj, field in ((case.sub, "label"), (case, "level")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+            with pytest.raises(AttributeError):
+                obj.extra = 1
+        assert case.sub.label == "G2-in-B3" and case.level == -2
+
+    def test_cases_compare_by_value(self):
+        # NamedTuples: equal fields make equal cases, and a case holding a
+        # dict-valued Decomposition is unhashable.
+        assert resolve_case("spso:1,3") == resolve_case("spso:1,3")
+        assert resolve_case("spso:1,3") != resolve_case("spso:1,4")
+        with pytest.raises(TypeError):
+            hash(resolve_case("spso:1,3"))
 
 
 class TestBranchingSoundness:

@@ -58,6 +58,45 @@ class TestTypeParsing:
         assert len(all_types()) == 33
 
 
+class TestAlgebraTypeContract:
+    def test_sorts_by_family_then_rank(self):
+        types = all_types()
+        assert sorted(types[::-1]) == sorted(types, key=lambda t: (t.family, t.rank)) == types
+        assert AlgebraType("A", 9) < AlgebraType("A", 10) < AlgebraType("B", 2)
+
+    @given(st.sampled_from([(t.family, t.rank) for t in constructible_types(8)]))
+    def test_equal_instances_hash_equal(self, fields):
+        a, b = AlgebraType(*fields), AlgebraType.parse("".join(map(str, fields)))
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_immutable(self):
+        typ = AlgebraType("B", 3)
+        with pytest.raises(AttributeError):
+            typ.rank = 4
+        with pytest.raises(AttributeError):
+            typ.extra = 1
+        assert typ == AlgebraType("B", 3)
+
+    @pytest.mark.parametrize(
+        "family, rank, message",
+        [
+            ("H", 4, "unknown family 'H' (expected one of A..G)"),
+            ("B", 1, "rank 1 invalid for family B (allowed 2..1000000000)"),
+            ("E", 9, "rank 9 invalid for family E (allowed 6..8)"),
+        ],
+    )
+    def test_bad_family_or_rank_keeps_its_message(self, family, rank, message):
+        with pytest.raises(LieError) as info:
+            AlgebraType(family, rank)
+        assert str(info.value) == message
+
+    def test_compares_equal_to_the_plain_tuple(self):
+        # A NamedTuple: equal, and equal in hash, to the tuple of its fields.
+        assert AlgebraType("B", 3) == ("B", 3)
+        assert hash(AlgebraType("B", 3)) == hash(("B", 3))
+
+
 class TestStructuralInvariants:
     @pytest.mark.parametrize("typ", all_types(), ids=str)
     def test_highest_root_norm_is_two(self, typ):

@@ -27,9 +27,17 @@ from lieconf.reps import (
     tensor_decompose,
     weyl_dim,
     _weight_system,
+    _weyl_data,
 )
 
-from oracles import check_character, fraction_decompose, fraction_weight_system, peel_tensor
+from oracles import (
+    check_character,
+    fraction_decompose,
+    fraction_weight_system,
+    fraction_weyl_data,
+    fraction_weyl_dim,
+    peel_tensor,
+)
 
 
 class TestWeylDimension:
@@ -66,6 +74,13 @@ class TestWeylDimension:
 
     def test_trivial_module(self):
         assert weyl_dim(build_algebra("E7"), (0,) * 7) == 1
+
+    @pytest.mark.parametrize("typ", constructible_types(8), ids=str)
+    def test_integer_table_matches_fraction_table(self, typ):
+        alg = build_algebra(typ)
+        assert _weyl_data(alg) == fraction_weyl_data(alg)
+        for lam in [fundamental(alg, i) for i in range(1, alg.rank + 1)] + [alg.rho]:
+            assert weyl_dim(alg, lam) == fraction_weyl_dim(alg, lam)
 
 
 class TestCasimir:
