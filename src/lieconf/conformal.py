@@ -76,10 +76,10 @@ MAX_SEARCH_RANK = 20
 # rational root) takes about 0.35 s.
 MAX_LEVEL_COEFF = 2**24
 # Cap on the charge entries (physical factors plus the ambient): the
-# polynomial build takes O(N^3) Fraction steps and runs before the
-# coefficient cap can be checked.  Shipped, benchmarked and tested cases have
-# at most five entries; the worst case under the cap (32 entries, 40-bit
-# indices) takes about 0.5 s.
+# polynomial build takes O(N^2) steps on integers of about N times the bits of
+# the poles' common denominator, and runs before the coefficient cap can be
+# checked.  Shipped, benchmarked and tested cases have at most five entries;
+# the worst case under the cap (32 entries, 40-bit indices) takes about 0.15 s.
 MAX_LEVEL_ENTRIES = 32
 
 
@@ -127,29 +127,6 @@ def central_charge(alg: Union[SimpleAlgebra, AlgebraType, str], k: Level):
 # output exactly when two distinct factors share the form.
 
 
-def _poly_mul(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_add(a: List[Fraction], b: List[Fraction]) -> List[Fraction]:
-    n = max(len(a), len(b))
-    return [
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ]
-
-
-def _poly_trim(a: List[Fraction]) -> List[Fraction]:
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
 def _scaled_value(ints: Sequence[int], p: int, q: int) -> int:
     """q**n * f(p/q) for the degree-n integer polynomial f, constant first."""
     acc, q_power = 0, 1
@@ -159,12 +136,16 @@ def _scaled_value(ints: Sequence[int], p: int, q: int) -> int:
     return acc
 
 
-def _deflate(a: List[Fraction], root: Fraction) -> List[Fraction]:
-    """Divide by (k - root); assumes root is exact."""
-    out: List[Fraction] = [Fraction(0)] * (len(a) - 1)
-    carry = Fraction(0)
-    for i in range(len(a) - 1, 0, -1):
-        carry = a[i] + carry * root if i < len(a) - 1 else a[i]
+def _deflate(ints: Sequence[int], p: int, q: int) -> List[int]:
+    """Divide by (q k - p) for a root p/q in lowest terms; constant first.
+
+    The quotient has integer coefficients by Gauss's lemma, so each step
+    divides exactly.
+    """
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for i in range(len(ints) - 1, 0, -1):
+        carry = (ints[i] + p * carry) // q
         out[i - 1] = carry
     return out
 
@@ -182,49 +163,51 @@ def _divisors(n: int) -> List[int]:
     return small + large[::-1]
 
 
-def _rational_roots(coeffs: List[Fraction]) -> List[Fraction]:
+def _rational_roots(coeffs: List[Rational]) -> List[Fraction]:
     """All rational roots with multiplicity, deflating as found; mutates coeffs.
 
-    A root p/q in lowest terms has p dividing the cleared constant and q the
-    cleared leading coefficient (the rational root theorem).
+    The coefficients are cleared to a primitive integer polynomial, which
+    deflation keeps primitive (Gauss's lemma).  A root p/q in lowest terms
+    has p dividing its constant and q its leading coefficient (the rational
+    root theorem).
     """
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = gcd(*ints) or 1
+    coeffs[:] = [c // content for c in ints]
     roots: List[Fraction] = []
     while len(coeffs) > 1:
         if coeffs[0] == 0:
             roots.append(Fraction(0))
             del coeffs[0]
             continue
-        scale = lcm(*(c.denominator for c in coeffs))
-        ints = [int(c * scale) for c in coeffs]
         found = next(
             (
-                Fraction(p, q)
-                for p_abs in _divisors(ints[0])
-                for q in _divisors(ints[-1])
+                (p, q)
+                for p_abs in _divisors(coeffs[0])
+                for q in _divisors(coeffs[-1])
                 if gcd(p_abs, q) == 1
                 for p in (p_abs, -p_abs)
-                if _scaled_value(ints, p, q) == 0
+                if _scaled_value(coeffs, p, q) == 0
             ),
             None,
         )
         if found is None:
             return roots
-        roots.append(found)
-        coeffs[:] = _deflate(coeffs, found)
+        roots.append(Fraction(*found))
+        coeffs[:] = _deflate(coeffs, *found)
     return roots
 
 
-def _quadratic_solutions(coeffs: Sequence[Fraction]) -> List[QuadraticNumber]:
-    """Roots of a quadratic with rational coefficients, as surds; [] if complex."""
-    a, b, c = coeffs[2], coeffs[1], coeffs[0]
-    scale = lcm(a.denominator, b.denominator, c.denominator)
-    ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
-    disc = bi * bi - 4 * ai * ci
+def _quadratic_solutions(coeffs: Sequence[int]) -> List[QuadraticNumber]:
+    """Roots of a quadratic with integer coefficients, as surds; [] if complex."""
+    c, b, a = coeffs
+    disc = b * b - 4 * a * c
     if disc < 0:
         return []
     s, d = squarefree_extract(disc)
-    p = Fraction(-bi, 2 * ai)
-    return [QuadraticNumber(p, Fraction(sign * s, 2 * ai), d) for sign in (1, -1)]
+    p = Fraction(-b, 2 * a)
+    return [QuadraticNumber(p, Fraction(sign * s, 2 * a), d) for sign in (1, -1)]
 
 
 def _charge_entries(
@@ -258,6 +241,33 @@ def _charge_entries(
     return entries
 
 
+def _level_polynomial(entries: Sequence[Tuple[Fraction, Fraction, int]]) -> List[int]:
+    """Cleared coefficients, constant first, of M(k) = sum_e w_e prod_{e' != e} (k - pole_e').
+
+    The factor slopes j and the removed overall factor k are already absorbed
+    into the entries.  With the poles over one denominator D, pole_e = a_e / D,
+    D^(N-1) M(k) = sum_e w_e prod_{e' != e} (D k - a_e') has integer
+    coefficients; dividing them by their gcd with D^(N-1) gives M times the
+    lcm of its coefficients' denominators.  Trailing zeros are dropped, so
+    the zero polynomial is [].
+    """
+    denom = lcm(*(pole.denominator for pole, _j, _w in entries))
+    nums = [pole.numerator * (denom // pole.denominator) for pole, _j, _w in entries]
+    # Running sums over the first entries: full is their product of (D k - a),
+    # total the sum over them of w_e times the product without e's own factor.
+    total, full = [0], [1]
+    for a, (_pole, _j, weight) in zip(nums, entries):
+        total = [
+            denom * y - a * x + weight * f
+            for x, y, f in zip(total + [0], [0] + total, full + [0])
+        ]
+        full = [denom * y - a * x for x, y in zip(full + [0], [0] + full)]
+    while total and not total[-1]:
+        total.pop()
+    content = gcd(denom ** (len(entries) - 1), *total)
+    return [c // content for c in total]
+
+
 def solve_levels(
     ambient: Union[SimpleAlgebra, AlgebraType, str],
     sub: SubalgebraSpec,
@@ -279,20 +289,10 @@ def solve_levels(
         raise SizeError(
             f"charge-matching equation has {len(entries)} entries (physical factors "
             f"plus the ambient); it exceeds the cap MAX_LEVEL_ENTRIES = {MAX_LEVEL_ENTRIES}")
-    # M(k) = sum_e w_e * prod_{e' != e} (k - pole_e'); the factor-slope j and
-    # the removed overall factor k are already absorbed.
-    total = [Fraction(0)]
-    for idx, (pole, _j, weight) in enumerate(entries):
-        term = [Fraction(weight)]
-        for idx2, (pole2, _j2, _w2) in enumerate(entries):
-            if idx2 != idx:
-                term = _poly_mul(term, [-pole2, Fraction(1)])
-        total = _poly_add(total, term)
-    coeffs = _poly_trim(total)
+    coeffs = _level_polynomial(entries)
     if not coeffs:
         raise LieError("charge-matching equation is identically zero")
-    scale = lcm(*(c.denominator for c in coeffs))
-    biggest = max(abs(int(c * scale)) for c in coeffs)
+    biggest = max(map(abs, coeffs))
     if biggest > MAX_LEVEL_COEFF:
         raise SizeError(
             f"cleared level polynomial has a coefficient of {biggest.bit_length()} bits; "

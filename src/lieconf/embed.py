@@ -9,9 +9,12 @@ a JSON catalog of exceptional cases shipped with the package
 (:func:`load_catalog`).
 
 Wherever the restriction of a small faithful ambient module is known, the
-stated branching is re-derived from scratch (exterior/symmetric squares or
-V (x) V* for the adjoint) and compared component by component; every case is
-additionally required to satisfy the dimension identity
+stated branching is checked independently: the adjoint weight multiset is
+rebuilt (exterior/symmetric squares or V (x) V* for the adjoint) and must
+equal the summed characters of k (+) p, which holds exactly when the stated
+components are the decomposition, irreducible characters being linearly
+independent.  The peel-off decomposition runs only to explain a mismatch.
+Every case is additionally required to satisfy the dimension identity
 dim(ambient) = sum dim(factors) + dim(p).
 """
 
@@ -21,6 +24,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from operator import add
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import DUAL_PAIR_FAMILIES
@@ -230,7 +234,7 @@ def _convolve(a: Dict[Coords, int], b: Dict[Coords, int]) -> Dict[Coords, int]:
     out: Dict[Coords, int] = {}
     for w1, m1 in a.items():
         for w2, m2 in b.items():
-            key = tuple(x + y for x, y in zip(w1, w2))
+            key = tuple(map(add, w1, w2))
             out[key] = out.get(key, 0) + m1 * m2
     return {k: v for k, v in out.items() if v}
 
@@ -247,23 +251,18 @@ def _merge_systems(systems: Iterable[Dict[Coords, int]]) -> Dict[Coords, int]:
     return out
 
 
-def _verify_adjoint_branching(
+def _adjoint_weights(
     algs: Sequence[SimpleAlgebra],
     ambient_kind: str,
     module_components: Sequence[Tuple[Coords, ...]],
-    p_components: Dict[Tuple[Coords, ...], int],
     cap: int,
-) -> bool:
-    """Re-derive an adjoint branching from a faithful-module restriction.
+) -> Dict[Coords, int]:
+    """Weight multiset of the ambient adjoint restricted to the subalgebra.
 
     ``ambient_kind`` selects how the ambient adjoint sits over its defining
     module V: 'gl' for V (x) V* minus a trivial summand, 'alt' for the
-    exterior square, 'sym' for the symmetric square.  Returns False when V is
-    too large to check; raises on a mismatch.
+    exterior square, 'sym' for the symmetric square.
     """
-    vdim = sum(product_dim(algs, comp) for comp in module_components)
-    if vdim > VERIFY_DIM_LIMIT:
-        return False
     v_ws = _merge_systems(
         product_weight_system(algs, comp, cap=cap) for comp in module_components
     )
@@ -273,11 +272,33 @@ def _verify_adjoint_branching(
         adj_ws[zero] -= 1
         if not adj_ws[zero]:
             del adj_ws[zero]
-    elif ambient_kind in ("alt", "sym"):
-        adj_ws = pair_weights(v_ws, ambient_kind)
-    else:
-        raise LieError(f"unknown ambient kind {ambient_kind!r}")
-    derived = decompose_weight_system(algs, adj_ws, cap=cap)
+        return adj_ws
+    if ambient_kind in ("alt", "sym"):
+        return pair_weights(v_ws, ambient_kind)
+    raise LieError(f"unknown ambient kind {ambient_kind!r}")
+
+
+def _verify_adjoint_branching(
+    algs: Sequence[SimpleAlgebra],
+    ambient_kind: str,
+    module_components: Sequence[Tuple[Coords, ...]],
+    p_components: Dict[Tuple[Coords, ...], int],
+    cap: int,
+) -> bool:
+    """Check a stated adjoint branching by character equality.
+
+    The adjoint weight multiset restricted through the faithful module V
+    (:func:`_adjoint_weights`) must equal the summed characters of the
+    stated components: each adjoint of k once, and p with its
+    multiplicities.  Irreducible characters are linearly independent, so
+    this holds exactly when the stated components are the decomposition; the
+    peel-off decomposition runs only to name the derived components in the
+    error.  Returns False when V is too large to check; raises on a mismatch.
+    """
+    vdim = sum(product_dim(algs, comp) for comp in module_components)
+    if vdim > VERIFY_DIM_LIMIT:
+        return False
+    adj_ws = _adjoint_weights(algs, ambient_kind, module_components, cap)
     expected: Dict[Tuple[Coords, ...], int] = {}
     for slot, alg in enumerate(algs):
         comp = tuple(
@@ -287,7 +308,12 @@ def _verify_adjoint_branching(
         expected[comp] = expected.get(comp, 0) + 1
     for comp, mult in p_components.items():
         expected[comp] = expected.get(comp, 0) + mult
-    if derived.components != expected:
+    char: Dict[Coords, int] = {}
+    for comp, mult in expected.items():
+        for w, m in product_weight_system(algs, comp, cap=cap).items():
+            char[w] = char.get(w, 0) + mult * m
+    if char != adj_ws:
+        derived = decompose_weight_system(algs, adj_ws, cap=cap)
         raise LieError(
             "stated branching disagrees with the recomputed decomposition: "
             f"derived {derived.components}, stated {expected}"

@@ -14,6 +14,7 @@ import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from types import MappingProxyType
 from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
@@ -343,7 +344,7 @@ def pair_weights(ws: Dict[Coords, int], part: str) -> Dict[Coords, int]:
             key = tuple(2 * x for x in w1)
             out[key] = out.get(key, 0) + diag
         for w2, m2 in items[i + 1:]:
-            key = tuple(x + y for x, y in zip(w1, w2))
+            key = tuple(map(add, w1, w2))
             out[key] = out.get(key, 0) + m1 * m2
     return {k: v for k, v in out.items() if v}
 

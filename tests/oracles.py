@@ -8,8 +8,9 @@ convolve-and-peel decomposition checks the tensor-product path, `Fraction`
 Freudenthal over every weight and a `Fraction`-height peel check the
 integer, orbit-driven weight systems and decompositions, and `Fraction`-dict
 series products check the integer eta-quotient recurrences of the character
-models and identity sides, and `Fraction` evaluation at every candidate
-checks the integer rational-root search of the level solver.  They are
+models and identity sides, `Fraction` evaluation at every candidate
+checks the integer rational-root search of the level solver, and a
+`Fraction` polynomial product checks its integer level polynomial.  They are
 deliberately slow and simple.
 """
 
@@ -376,3 +377,32 @@ def fraction_rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
             quotient.append(carry)
         coeffs = quotient[::-1]
     return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# the level polynomial by Fraction polynomial products
+
+
+def fraction_level_polynomial(entries: Sequence[Tuple[Fraction, Fraction, int]]) -> List[int]:
+    """Cleared coefficients, constant first, of sum_e w_e prod_{e' != e} (k - pole_e').
+
+    ``entries`` are the (pole, slope, weight) triples of
+    `lieconf.conformal._charge_entries`.  Each term is multiplied out in
+    `Fraction`s, one linear factor at a time; the sum is trimmed of trailing
+    zeros and scaled by the lcm of its denominators.
+    """
+    total: List[Fraction] = []
+    for idx, (_pole, _j, weight) in enumerate(entries):
+        term = [Fraction(weight)]
+        for idx2, (pole2, _j2, _w2) in enumerate(entries):
+            if idx2 != idx:
+                shifted = [Fraction(0)] + term
+                term = [s - pole2 * t for s, t in zip(shifted, term + [Fraction(0)])]
+        total = [
+            (total[i] if i < len(total) else 0) + (term[i] if i < len(term) else 0)
+            for i in range(max(len(total), len(term)))
+        ]
+    while total and not total[-1]:
+        total.pop()
+    scale = lcm(*(c.denominator for c in total))
+    return [int(c * scale) for c in total]

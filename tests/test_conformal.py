@@ -6,8 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieconf.liealg import LieError, build_algebra
-from lieconf.embed import dual_pair_branching, load_catalog, resolve_case
+from lieconf.liealg import AlgebraType, LieError, SizeError, build_algebra
+from lieconf.embed import (
+    DUAL_PAIR_FAMILIES,
+    SubalgebraSpec,
+    dual_pair_branching,
+    load_catalog,
+    resolve_case,
+)
 from lieconf.surd import QuadraticNumber
 from lieconf.conformal import (
     EXCLUDED_CANDIDATES,
@@ -24,9 +30,15 @@ from lieconf.conformal import (
     table1_scan,
     verify_case,
 )
-from lieconf.conformal import _rational_roots
+from lieconf.conformal import (
+    MAX_LEVEL_COEFF,
+    MAX_LEVEL_ENTRIES,
+    _charge_entries,
+    _level_polynomial,
+    _rational_roots,
+)
 
-from oracles import fraction_rational_roots
+from oracles import fraction_level_polynomial, fraction_rational_roots
 
 
 def levels_of(case):
@@ -166,6 +178,78 @@ class TestRationalRoots:
     def test_matches_fraction_oracle(self, ints):
         coeffs = [Fraction(c) for c in ints]
         assert sorted(_rational_roots(list(coeffs))) == fraction_rational_roots(coeffs)
+
+
+def _entries(case):
+    return _charge_entries(build_algebra(case.ambient), case.sub, case.slot_groups)
+
+
+def _dual_pair_grid():
+    for family in DUAL_PAIR_FAMILIES:
+        lo = 3 if family in ("soso", "OO") else 2
+        for n in range(lo, 7):
+            for m in range(3 if family == "spso" else lo, 7):
+                yield dual_pair_branching(family, n, m)
+
+
+level_factor_types = st.sampled_from(["A1", "A2", "A4", "B3", "C2", "D5", "G2", "F4", "E6", "E8"])
+level_indices = st.builds(
+    Fraction, st.integers(min_value=1, max_value=2**16), st.integers(min_value=1, max_value=30)
+)
+
+
+class TestLevelPolynomial:
+    """The integer level polynomial against its Fraction build."""
+
+    def test_dual_pair_grid(self):
+        cases = list(_dual_pair_grid())
+        assert len(cases) == 152
+        for case in cases:
+            entries = _entries(case)
+            assert _level_polynomial(entries) == fraction_level_polynomial(entries), case.label
+
+    def test_catalog_and_excluded_candidates(self):
+        entry_lists = [_entries(case) for case in load_catalog()]
+        for ambient, factors, _levels in EXCLUDED_CANDIDATES:
+            sub = SubalgebraSpec(tuple((AlgebraType.parse(t), Fraction(j)) for t, j in factors))
+            entry_lists.append(_charge_entries(build_algebra(ambient), sub, None))
+        assert len(entry_lists) == 15 + len(EXCLUDED_CANDIDATES)
+        for entries in entry_lists:
+            assert _level_polynomial(entries) == fraction_level_polynomial(entries)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(["A7", "B4", "C5", "D6", "G2", "E7", "E8"]),
+        st.lists(
+            st.tuples(level_factor_types, level_indices),
+            min_size=1,
+            max_size=MAX_LEVEL_ENTRIES - 1,
+        ),
+    )
+    def test_factor_lists_match_and_trip_the_same_cap(self, ambient, factors):
+        sub = SubalgebraSpec(tuple((AlgebraType.parse(t), j) for t, j in factors))
+        entries = _charge_entries(build_algebra(ambient), sub, None)
+        assert len(entries) <= MAX_LEVEL_ENTRIES
+        coeffs = fraction_level_polynomial(entries)
+        assert _level_polynomial(entries) == coeffs
+        biggest = max(map(abs, coeffs), default=0)
+        if biggest > MAX_LEVEL_COEFF:
+            with pytest.raises(SizeError) as info:
+                solve_levels(ambient, sub)
+            assert str(info.value) == (
+                f"cleared level polynomial has a coefficient of {biggest.bit_length()} "
+                "bits; it exceeds the cap MAX_LEVEL_COEFF = 2**24"
+            )
+
+    def test_cap_message_names_the_bits(self):
+        case = resolve_case("spsp:40,40")
+        assert max(abs(c) for c in fraction_level_polynomial(_entries(case))).bit_length() == 25
+        with pytest.raises(SizeError) as info:
+            levels_of(case)
+        assert str(info.value) == (
+            "cleared level polynomial has a coefficient of 25 bits; "
+            "it exceeds the cap MAX_LEVEL_COEFF = 2**24"
+        )
 
 
 def _solve_excluded(ambient, factors):

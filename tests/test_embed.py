@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from lieconf.liealg import AlgebraType, LieError, build_algebra
-from lieconf.reps import freudenthal_weights
+from lieconf import embed
+from lieconf.reps import DEFAULT_CAP, NotACharacter, freudenthal_weights
 from lieconf.embed import (
     DUAL_PAIR_FAMILIES,
     SubalgebraSpec,
@@ -276,3 +277,56 @@ class TestBranchingSoundness:
         ranks = [t.rank for t, _ in case.sub.factors]
         for comp in case.p_components.components:
             assert [len(w) for w in comp] == ranks
+
+
+class TestVerifyAdjointBranching:
+    """A stated branching is checked by comparing characters; the peel runs
+    only to explain a mismatch."""
+
+    A1, A2, C2 = build_algebra("A1"), build_algebra("A2"), build_algebra("C2")
+
+    def test_true_branchings_verify(self):
+        # slsl:2,3 and spsp:2,2, as the dual-pair constructions state them
+        assert embed._verify_adjoint_branching(
+            (self.A1, self.A2), "gl", [((1,), (1, 0))], {((2,), (1, 1)): 1}, DEFAULT_CAP
+        )
+        assert embed._verify_adjoint_branching(
+            (self.C2, self.C2), "alt", [((1, 0), (1, 0))],
+            {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): 1}, DEFAULT_CAP,
+        )
+
+    @pytest.mark.parametrize(
+        "algs, kind, module, p_components, message",
+        [
+            (
+                # slsl:2,3 with its 24-dimensional p swapped for L(23) (x) 1
+                ("A1", "A2"), "gl", [((1,), (1, 0))], {((23,), (0, 0)): 1},
+                "stated branching disagrees with the recomputed decomposition: "
+                "derived {((2,), (1, 1)): 1, ((0,), (1, 1)): 1, ((2,), (0, 0)): 1}, "
+                "stated {((2,), (0, 0)): 1, ((0,), (1, 1)): 1, ((23,), (0, 0)): 1}",
+            ),
+            (
+                # spsp:2,2 with (theta, omega_2) swapped for (omega_2, theta)
+                ("C2", "C2"), "alt", [((1, 0), (1, 0))], {((0, 1), (2, 0)): 2},
+                "stated branching disagrees with the recomputed decomposition: "
+                "derived {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): 1, ((2, 0), (0, 0)): 1, "
+                "((0, 0), (2, 0)): 1}, "
+                "stated {((2, 0), (0, 0)): 1, ((0, 0), (2, 0)): 1, ((0, 1), (2, 0)): 2}",
+            ),
+        ],
+        ids=["slsl:2,3", "spsp:2,2"],
+    )
+    def test_swapped_component_names_both_decompositions(
+        self, algs, kind, module, p_components, message
+    ):
+        algs = tuple(build_algebra(t) for t in algs)
+        with pytest.raises(LieError) as info:
+            embed._verify_adjoint_branching(algs, kind, module, p_components, DEFAULT_CAP)
+        assert str(info.value) == message
+
+    def test_non_character_multiset_is_rejected(self, monkeypatch):
+        monkeypatch.setattr(embed, "_adjoint_weights", lambda *args: {(1, 0): 1, (0, 0): 1})
+        with pytest.raises(NotACharacter):
+            embed._verify_adjoint_branching(
+                (self.A2,), "gl", [((1, 0),)], {((1, 0),): 1}, DEFAULT_CAP
+            )

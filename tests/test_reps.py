@@ -11,7 +11,6 @@ from lieconf import embed
 from lieconf.embed import DUAL_PAIR_FAMILIES, dual_pair_branching
 from lieconf.liealg import build_algebra, constructible_types, fundamental
 from lieconf.reps import (
-    DEFAULT_CAP,
     Decomposition,
     NotACharacter,
     SizeError,
@@ -243,22 +242,38 @@ class TestFractionOracle:
 
     @pytest.mark.parametrize("family", DUAL_PAIR_FAMILIES)
     def test_peel_matches_fraction_peel_on_dual_pair_grid(self, family, monkeypatch):
+        # Every restricted adjoint multiset the grid builds is peeled by both
+        # decomposers, and both must return the stated k (+) p.
+        adjoint_weights = embed._adjoint_weights
         seen = []
 
-        def recording(algs, ws, cap=DEFAULT_CAP):
-            result = decompose_weight_system(algs, ws, cap=cap)
-            seen.append((tuple(algs), dict(ws), result.components))
-            return result
+        def recording(algs, *args):
+            ws = adjoint_weights(algs, *args)
+            seen.append((tuple(algs), ws))
+            return ws
 
-        monkeypatch.setattr(embed, "decompose_weight_system", recording)
+        monkeypatch.setattr(embed, "_adjoint_weights", recording)
         n_lo = 3 if family in ("soso", "OO") else 2
         m_lo = 3 if family in ("soso", "OO", "spso") else 2
+        checked = 0
         for n in range(n_lo, 7):
             for m in range(m_lo, 7):
-                dual_pair_branching(family, n, m)
-        assert seen
-        for algs, ws, comps in seen:
-            assert comps == fraction_decompose(algs, ws)
+                seen.clear()
+                case = dual_pair_branching(family, n, m)
+                assert len(seen) <= 1
+                algs = case.sub.algebras
+                stated = dict(case.p_components.components)
+                for slot, alg in enumerate(algs):
+                    comp = tuple(
+                        alg.theta if j == slot else (0,) * a.rank for j, a in enumerate(algs)
+                    )
+                    stated[comp] = stated.get(comp, 0) + 1
+                for seen_algs, ws in seen:
+                    assert seen_algs == algs
+                    comps = decompose_weight_system(algs, ws).components
+                    assert comps == fraction_decompose(algs, ws) == stated
+                    checked += 1
+        assert checked
 
     def test_cached_weight_system_is_read_only(self):
         alg = build_algebra("A2")
