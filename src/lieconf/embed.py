@@ -38,7 +38,6 @@ from .liealg import (
     zero_weight,
 )
 from .reps import (
-    DEFAULT_CAP,
     Decomposition,
     decompose_weight_system,
     dynkin_index,
@@ -255,7 +254,6 @@ def _adjoint_weights(
     algs: Sequence[SimpleAlgebra],
     ambient_kind: str,
     module_components: Sequence[Tuple[Coords, ...]],
-    cap: int,
 ) -> Dict[Coords, int]:
     """Weight multiset of the ambient adjoint restricted to the subalgebra.
 
@@ -263,9 +261,7 @@ def _adjoint_weights(
     module V: 'gl' for V (x) V* minus a trivial summand, 'alt' for the
     exterior square, 'sym' for the symmetric square.
     """
-    v_ws = _merge_systems(
-        product_weight_system(algs, comp, cap=cap) for comp in module_components
-    )
+    v_ws = _merge_systems(product_weight_system(algs, comp) for comp in module_components)
     if ambient_kind == "gl":
         adj_ws = _convolve(v_ws, _dual_system(v_ws))
         zero = tuple(0 for _ in next(iter(adj_ws)))
@@ -283,7 +279,6 @@ def _verify_adjoint_branching(
     ambient_kind: str,
     module_components: Sequence[Tuple[Coords, ...]],
     p_components: Dict[Tuple[Coords, ...], int],
-    cap: int,
 ) -> bool:
     """Check a stated adjoint branching by character equality.
 
@@ -298,7 +293,7 @@ def _verify_adjoint_branching(
     vdim = sum(product_dim(algs, comp) for comp in module_components)
     if vdim > VERIFY_DIM_LIMIT:
         return False
-    adj_ws = _adjoint_weights(algs, ambient_kind, module_components, cap)
+    adj_ws = _adjoint_weights(algs, ambient_kind, module_components)
     expected: Dict[Tuple[Coords, ...], int] = {}
     for slot, alg in enumerate(algs):
         comp = tuple(
@@ -310,10 +305,10 @@ def _verify_adjoint_branching(
         expected[comp] = expected.get(comp, 0) + mult
     char: Dict[Coords, int] = {}
     for comp, mult in expected.items():
-        for w, m in product_weight_system(algs, comp, cap=cap).items():
+        for w, m in product_weight_system(algs, comp).items():
             char[w] = char.get(w, 0) + mult * m
     if char != adj_ws:
-        derived = decompose_weight_system(algs, adj_ws, cap=cap)
+        derived = decompose_weight_system(algs, adj_ws)
         raise LieError(
             "stated branching disagrees with the recomputed decomposition: "
             f"derived {derived.components}, stated {expected}"
@@ -330,7 +325,6 @@ def _build_case(
     ambient_kind: str,
     module_components: Sequence[Tuple[Coords, ...]],
     level: Optional[Fraction] = None,
-    cap: int = DEFAULT_CAP,
     slot_groups: Optional[Tuple[Tuple[int, ...], ...]] = None,
 ) -> BranchingCase:
     sub = SubalgebraSpec(tuple((t, Fraction(j)) for t, j in factors), label)
@@ -341,7 +335,7 @@ def _build_case(
     p_decomp = Decomposition(algs, components)
     case = BranchingCase(ambient, sub, p_decomp, source, level, slot_groups)
     case.check_dimensions()
-    _verify_adjoint_branching(algs, ambient_kind, module_components, components, cap)
+    _verify_adjoint_branching(algs, ambient_kind, module_components, components)
     return case
 
 
@@ -358,7 +352,7 @@ def _block_groups(*sizes: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(groups)
 
 
-def dual_pair_branching(family: str, n: int, m: int, cap: int = DEFAULT_CAP) -> BranchingCase:
+def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
     """Adjoint branching for a classical dual pair or direct-sum pair.
 
     Tensor-product pairs (V = V1 (x) V2):
@@ -390,7 +384,6 @@ def dual_pair_branching(family: str, n: int, m: int, cap: int = DEFAULT_CAP) -> 
             f"tensor dual pair sl({n}) x sl({m}) in sl({n * m})",
             "gl",
             [(defining_weight(a1), defining_weight(a2))],
-            cap=cap,
         )
 
     if family == "spsp":
@@ -411,7 +404,6 @@ def dual_pair_branching(family: str, n: int, m: int, cap: int = DEFAULT_CAP) -> 
             f"tensor dual pair sp({2 * n}) x sp({2 * m}) in so({4 * n * m})",
             "alt",
             [(defining_weight(a1), defining_weight(a2))],
-            cap=cap,
         )
 
     if family == "soso":
@@ -428,7 +420,6 @@ def dual_pair_branching(family: str, n: int, m: int, cap: int = DEFAULT_CAP) -> 
             f"tensor dual pair so({n}) x so({m}) in so({n * m})",
             "alt",
             [p1.vector + p2.vector],
-            cap=cap,
             slot_groups=_block_groups(len(p1.types), len(p2.types)),
         )
 
@@ -449,14 +440,13 @@ def dual_pair_branching(family: str, n: int, m: int, cap: int = DEFAULT_CAP) -> 
             f"tensor dual pair sp({2 * n}) x so({m}) in sp({2 * n * m})",
             "sym",
             [(defining_weight(a1),) + p2.vector],
-            cap=cap,
             slot_groups=_block_groups(1, len(p2.types)),
         )
 
     if family == "BB":
         if n < 1 or m < 1:
             raise LieError("BB needs n, m >= 1")
-        case = dual_pair_branching("OO", 2 * n + 1, 2 * m + 1, cap=cap)
+        case = dual_pair_branching("OO", 2 * n + 1, 2 * m + 1)
         sub = SubalgebraSpec(case.sub.factors, label)
         return BranchingCase(
             case.ambient, sub, case.p_components, case.source, case.level, case.slot_groups
@@ -474,7 +464,6 @@ def dual_pair_branching(family: str, n: int, m: int, cap: int = DEFAULT_CAP) -> 
             f"direct-sum pair sp({2 * n}) x sp({2 * m}) in sp({2 * (n + m)})",
             "sym",
             [(defining_weight(a1), z2), (z1, defining_weight(a2))],
-            cap=cap,
         )
 
     # OO
@@ -491,7 +480,6 @@ def dual_pair_branching(family: str, n: int, m: int, cap: int = DEFAULT_CAP) -> 
         f"direct-sum pair so({n}) x so({m}) in so({n + m})",
         "alt",
         [p1.vector + zeros2, zeros1 + p2.vector],
-        cap=cap,
         slot_groups=_block_groups(len(p1.types), len(p2.types)),
     )
 
@@ -509,7 +497,6 @@ def _single_case(
     ambient_kind: str,
     module_weight: Coords,
     level: Fraction,
-    cap: int = DEFAULT_CAP,
 ) -> BranchingCase:
     return _build_case(
         ambient,
@@ -520,11 +507,10 @@ def _single_case(
         ambient_kind,
         [(module_weight,)],
         level=level,
-        cap=cap,
     )
 
 
-def _spsl_case(n: int, cap: int = DEFAULT_CAP) -> BranchingCase:
+def _spsl_case(n: int) -> BranchingCase:
     if n < 2:
         raise LieError("spsl needs n >= 2")
     t = AlgebraType("C", n)
@@ -538,11 +524,10 @@ def _spsl_case(n: int, cap: int = DEFAULT_CAP) -> BranchingCase:
         "gl",
         defining_weight(alg),
         Fraction(-1),
-        cap=cap,
     )
 
 
-def _g2_b3_case(cap: int = DEFAULT_CAP) -> BranchingCase:
+def _g2_b3_case() -> BranchingCase:
     t = AlgebraType("G", 2)
     alg = build_algebra(t)
     return _single_case(
@@ -554,11 +539,10 @@ def _g2_b3_case(cap: int = DEFAULT_CAP) -> BranchingCase:
         "alt",
         fundamental(alg, 1),
         Fraction(-2),
-        cap=cap,
     )
 
 
-def _b3_d4_case(cap: int = DEFAULT_CAP) -> BranchingCase:
+def _b3_d4_case() -> BranchingCase:
     t = AlgebraType("B", 3)
     alg = build_algebra(t)
     return _single_case(
@@ -570,7 +554,6 @@ def _b3_d4_case(cap: int = DEFAULT_CAP) -> BranchingCase:
         "alt",
         fundamental(alg, 3),
         Fraction(-2),
-        cap=cap,
     )
 
 

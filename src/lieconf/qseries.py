@@ -1,17 +1,19 @@
 """Truncated Puiseux-series arithmetic and character-identity verification.
 
-Series are finite maps from fractional exponents to exact rational
-coefficients together with an explicit truncation order: coefficients at
-exponents below the order are exactly as stored, everything at or above it is
-unknown.  All arithmetic tracks the largest truncation order that the inputs
-justify, so a verified identity is a genuine coefficient-by-coefficient
-statement, never a float comparison.
-
-The product sides of the identities and the character models are eta
-quotients, prod_d prod_k (1 - t^(dk))^(e_d) on a grid t = q^(1/denom).  They
-are computed on dense `int` lists by exact recurrences (log-derivative for the
-quotients, J. C. P. Miller's for powers) and only then wrapped as series.
+Every character model and both sides of every identity are dense `int` lists
+on a grid t = q^(1/denom) with a rational shift: index k holds the
+coefficient of q^((k + shift)/denom).  Eta quotients come from exact
+recurrences (log-derivative for the quotients, J. C. P. Miller's for
+powers), the direct sums from their index sets.  `verify_identity` compares
+the two lists and turns the first differing index into its exponent.
 Orders above `MAX_ORDER` are refused.
+
+`PuiseuxSeries` is the printed result type: `character`, `identity_sides`
+and `euler_phi` wrap their lists once, through `_from_grid`.  A series maps
+fractional exponents to exact rational coefficients below an explicit
+truncation order; at or above it everything is unknown.  Its arithmetic
+stays here only because the `Fraction` oracle of the tests and the bench
+tracer use it, until the bench stops binding those names (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -314,32 +316,14 @@ def _coerce(value, like: PuiseuxSeries):
 
 
 # ---------------------------------------------------------------------------
-# standard series
+# integer series on a grid
+#
+# Every division in a recurrence or a sum must be exact; a remainder means a
+# wrong input, so it raises rather than rounding.
 
-
-def euler_phi(order: int) -> PuiseuxSeries:
-    """prod_{n>=1} (1 - q^n) via the pentagonal-number expansion, to q^order."""
-    if order < 1:
-        raise SeriesError("order must be >= 1")
-    coeffs: Dict[int, Fraction] = {0: Fraction(1)}
-    k = 1
-    while k * (3 * k - 1) // 2 < order:
-        sign = Fraction(-1 if k % 2 else 1)
-        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
-            if e < order:
-                coeffs[e] = sign
-        k += 1
-    return PuiseuxSeries(1, coeffs, order)
-
-
-def _delta(order: int) -> PuiseuxSeries:
-    """Triangular-number theta series sum_{n>=0} q^(n(n+1)/2)."""
-    coeffs: Dict[int, Fraction] = {}
-    n = 0
-    while n * (n + 1) // 2 < order:
-        coeffs[n * (n + 1) // 2] = Fraction(1)
-        n += 1
-    return PuiseuxSeries(1, coeffs, order)
+# weyl_M3 starts at q^(1/8): index k of its half-integer grid is q^((k + 1/4)/2).
+# A constant, so that verifying thm92 builds no Fraction.
+_WEYL_M3_SHIFT = Fraction(1, 4)
 
 
 def _check_order(order: int, least: int) -> None:
@@ -349,19 +333,17 @@ def _check_order(order: int, least: int) -> None:
         raise SeriesError(f"order {order} exceeds the bound MAX_ORDER = {MAX_ORDER}")
 
 
-# ---------------------------------------------------------------------------
-# integer eta quotients
-#
-# Coefficients live in dense int lists: index k holds the coefficient of t^k.
-# Every division in a recurrence must be exact; a remainder means a wrong
-# input, so it raises rather than rounding.
-
-
 def _exact_div(num: int, den: int) -> int:
     quot, rem = divmod(num, den)
     if rem:
         raise SeriesError(f"inexact division {num}/{den} in a series recurrence")
     return quot
+
+
+def _grid_len(denom: int, shift: Rational, order: int) -> int:
+    """Number of grid points k >= 0 with (k + shift)/denom < order."""
+    num, den = shift.numerator, shift.denominator
+    return max(0, -((num - order * denom * den) // den))
 
 
 def _eta_quotient(exps: Dict[int, int], n: int) -> List[int]:
@@ -429,18 +411,14 @@ def _convolve(a: List[int], b: List[int], n: int) -> List[int]:
     return out
 
 
-def _int_coeffs(series: PuiseuxSeries, denom: int, n: int) -> List[int]:
-    """The first n integer coefficients of a series on the grid q^(1/denom)."""
-    if denom % series.denom:
-        raise SeriesError(f"denominator {series.denom} does not divide {denom}")
-    coeffs, _ = series._scaled_to(denom)
-    dense = [0] * n
-    for e, c in coeffs.items():
-        if e < 0 or c.denominator != 1:
-            raise SeriesError("series needs integral coefficients at exponents >= 0")
-        if e < n:
-            dense[e] = int(c)
-    return dense
+def _triangular(n: int) -> List[int]:
+    """First n coefficients of the triangular series sum_{m>=0} q^(m(m+1)/2)."""
+    coeffs = [0] * n
+    m = 0
+    while m * (m + 1) // 2 < n:
+        coeffs[m * (m + 1) // 2] = 1
+        m += 1
+    return coeffs
 
 
 def _from_grid(coeffs: List[int], denom: int, shift: Rational, order: int) -> PuiseuxSeries:
@@ -451,19 +429,38 @@ def _from_grid(coeffs: List[int], denom: int, shift: Rational, order: int) -> Pu
     return PuiseuxSeries(scale, terms, order * scale)
 
 
-def _eta_side(
-    exps: Dict[int, int],
-    denom: int,
-    shift: Rational,
-    order: int,
-    factor: Optional[List[int]] = None,
-) -> PuiseuxSeries:
-    """q^(shift/denom) * eta quotient in t = q^(1/denom) [* factor(t)] + O(q^order)."""
-    n = max(0, -((shift - order * denom) // 1))  # grid points with (k + shift)/denom < order
-    coeffs = _eta_quotient(exps, n)
-    if factor is not None:
-        coeffs = _convolve(coeffs, factor, n)
-    return _from_grid(coeffs, denom, shift, order)
+def euler_phi(order: int) -> PuiseuxSeries:
+    """prod_{n>=1} (1 - q^n), to q^order."""
+    _check_order(order, 1)
+    return _from_grid(_eta_quotient({1: 1}, order), 1, 0, order)
+
+
+def _model_grid(model: str, ell: int, order: int) -> Tuple[List[int], int, Rational]:
+    """(coeffs, denom, shift) of a character model below q^order."""
+    if model not in CHARACTER_MODELS:
+        raise SeriesError(f"unknown character model {model!r}")
+    _check_order(order, 1)
+    if model == "delta":
+        return _triangular(order), 1, 0
+    if model == "weyl_M3":
+        n = _grid_len(2, _WEYL_M3_SHIFT, order)
+        return _eta_quotient({1: -6, 2: 6}, n), 2, _WEYL_M3_SHIFT
+    if ell < 0:
+        raise SeriesError("ell must be >= 0")
+    if model == "sl2_m32":
+        shift, poly = Fraction(3, 8) + Fraction(ell * (ell + 2), 2), [ell + 1]
+    else:  # sl2_m4, moved up by q^drop so that the polynomial has grid indices >= 0
+        drop = ell * (ell + 1) // 2
+        if order + drop > MAX_ORDER:
+            raise SeriesError(
+                f"sl2_m4 at ell={ell} spans order + {drop}, above MAX_ORDER = {MAX_ORDER}"
+            )
+        poly = [0] * (drop + 1)
+        for i in range(ell + 1):
+            poly[drop - i * (i + 1) // 2] = (-1) ** (ell - i) * (2 * i + 1)
+        shift = Fraction(-1, 4) - drop
+    n = _grid_len(1, shift, order)
+    return _convolve(_eta_quotient({1: -3}, n), poly, n), 1, shift
 
 
 def character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeries:
@@ -478,28 +475,8 @@ def character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeries:
         character; ell is ignored.
     delta:   the triangular series sum q^(n(n+1)/2); ell is ignored.
     """
-    if model not in CHARACTER_MODELS:
-        raise SeriesError(f"unknown character model {model!r}")
-    _check_order(order, 1)
-    if model == "delta":
-        return _delta(order)
-    if model == "weyl_M3":
-        return _eta_side({1: -6, 2: 6}, 2, Fraction(1, 4), order)
-    if ell < 0:
-        raise SeriesError("ell must be >= 0")
-    if model == "sl2_m32":
-        shift = Fraction(3, 8) + Fraction(ell * (ell + 2), 2)
-        return _eta_side({1: -3}, 1, shift, order, [ell + 1])
-    # sl2_m4, moved up by q^drop so that the polynomial has grid indices >= 0
-    drop = ell * (ell + 1) // 2
-    if order + drop > MAX_ORDER:
-        raise SeriesError(
-            f"sl2_m4 at ell={ell} spans order + {drop}, above MAX_ORDER = {MAX_ORDER}"
-        )
-    poly = [0] * (drop + 1)
-    for i in range(ell + 1):
-        poly[drop - i * (i + 1) // 2] = (-1) ** (ell - i) * (2 * i + 1)
-    return _eta_side({1: -3}, 1, Fraction(-1, 4) - drop, order, poly)
+    coeffs, denom, shift = _model_grid(model, ell, order)
+    return _from_grid(coeffs, denom, shift, order)
 
 
 # ---------------------------------------------------------------------------
@@ -510,50 +487,62 @@ def character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeries:
 # emitted exponent lies below the order, never by an index heuristic.
 
 
-def _signed_double_sum(order: int) -> PuiseuxSeries:
-    """sum_{l>=0} (l+1) sum_{i=0..l} (-1)^(l-i) (2i+1) q^((l(l+2)-i(i+1))/2).
+def _signed_double_sum(order: int) -> List[int]:
+    """sum_{l>=0} (l+1) sum_{i=0..l} (-1)^(l-i) (2i+1) q^((l(l+2)-i(i+1))/2),
+    on the grid q^(1/2).
 
     The (l, i) term's exponent is minimal at i = l, where it equals l/2, so
     l ranges over l/2 < order; the inner loop runs downward from i = l and
     stops as soon as the exponent reaches the order.
     """
-    coeffs: Dict[int, Fraction] = {}
-    bound = 2 * order  # scaled by denom 2
-    l = 0
-    while l < bound:
+    bound = 2 * order
+    coeffs = [0] * bound
+    for l in range(bound):
         base = l * (l + 2)
         for i in range(l, -1, -1):
             e = base - i * (i + 1)  # twice the exponent
             if e >= bound:
                 break
-            coeffs[e] = coeffs.get(e, Fraction(0)) + (-1) ** (l - i) * (l + 1) * (
-                2 * i + 1
-            )
-        l += 1
-    return PuiseuxSeries(2, coeffs, bound)
+            coeffs[e] += (-1) ** (l - i) * (l + 1) * (2 * i + 1)
+    return coeffs
 
 
-def _kw_sum(order: int) -> PuiseuxSeries:
+def _kw_sum(order: int) -> List[int]:
     """-(1/8) sum (-1)^((j-1)(k+1)/4) (j^2-k^2) q^((jk-3)/4) over odd j > k >= 1
-    with (j-k)/2 odd; the exponent is integral on that index set."""
-    coeffs: Dict[int, Fraction] = {}
+    with (j-k)/2 odd; the exponent, the sign exponent and the term
+    (j^2-k^2)/8 are integral on that index set."""
+    coeffs = [0] * order
     k = 1
     while k * (k + 2) - 3 < 4 * order:  # smallest admissible j is k + 2
         j = k + 2
-        while (j * k - 3) < 4 * order:
-            if ((j - k) // 2) % 2 == 1:
-                sign_exp = (j - 1) * (k + 1)
-                if sign_exp % 4:
-                    raise SeriesError("sign exponent (j-1)(k+1)/4 must be integral")
-                e, r = divmod(j * k - 3, 4)
-                if r:
-                    raise SeriesError("exponent (jk-3)/4 must be integral")
-                term = Fraction(-(j * j - k * k), 8) * (-1) ** (sign_exp // 4)
-                coeffs[e] = coeffs.get(e, Fraction(0)) + term
+        while j * k - 3 < 4 * order:
+            if (j - k) // 2 % 2:
+                sign = (-1) ** _exact_div((j - 1) * (k + 1), 4)
+                coeffs[_exact_div(j * k - 3, 4)] -= sign * _exact_div(j * j - k * k, 8)
             j += 2
         k += 2
-    coeffs = {e: c for e, c in coeffs.items() if c}
-    return PuiseuxSeries(1, coeffs, order)
+    return coeffs
+
+
+def _identity_grid(which: str, order: int) -> Tuple[List[int], List[int], int, Rational]:
+    """(lhs, rhs, denom, shift): both sides of a named identity on one grid."""
+    if which not in IDENTITY_NAMES:
+        raise SeriesError(f"unknown identity {which!r}")
+    _check_order(order, 4)
+    if which == "delta_eta":
+        return _triangular(order), _eta_quotient({1: -1, 2: 2}, order), 1, 0
+    if which == "eq92":
+        return _eta_quotient({1: -6, 2: 12}, 2 * order), _signed_double_sum(order), 2, 0
+    if which == "kw":
+        return _power(_triangular(order), 6, order), _kw_sum(order), 1, 0
+    # thm92: the free-field character against the sl(2)-character pairing.
+    # Each product sl2_m32(l) * sl2_m4(l) equals q^(1/8) phi^-6 times the
+    # l-th slice of the signed double sum, so the right side is assembled
+    # from that closed form; the slice-by-slice equality with the literal
+    # character products is a separate test.
+    lhs, denom, shift = _model_grid("weyl_M3", 0, order)
+    n = len(lhs)
+    return lhs, _convolve(_eta_quotient({2: -6}, n), _signed_double_sum(order), n), denom, shift
 
 
 def identity_sides(which: str, order: int) -> Tuple[PuiseuxSeries, PuiseuxSeries]:
@@ -564,25 +553,8 @@ def identity_sides(which: str, order: int) -> Tuple[PuiseuxSeries, PuiseuxSeries
     kw:        Delta(q)^6 = the signed odd-pair sum
     thm92:     weyl_M3 character = sum_l sl2_m32(l) * sl2_m4(l)
     """
-    if which not in IDENTITY_NAMES:
-        raise SeriesError(f"unknown identity {which!r}")
-    _check_order(order, 4)
-    if which == "delta_eta":
-        return _delta(order), _eta_side({1: -1, 2: 2}, 1, 0, order)
-    if which == "eq92":
-        return _eta_side({1: -6, 2: 12}, 2, 0, order), _signed_double_sum(order)
-    if which == "kw":
-        triangular = _int_coeffs(_delta(order), 1, order)
-        return _from_grid(_power(triangular, 6, order), 1, 0, order), _kw_sum(order)
-    # thm92: the free-field character against the sl(2)-character pairing.
-    # Each product sl2_m32(l) * sl2_m4(l) equals q^(1/8) phi^-6 times the
-    # l-th slice of the signed double sum, so the right side is assembled
-    # from that closed form; the slice-by-slice equality with the literal
-    # character products is a separate test.
-    lhs = character("weyl_M3", 0, order)
-    pairing = _int_coeffs(_signed_double_sum(order), 2, 2 * order)
-    rhs = _eta_side({2: -6}, 2, Fraction(1, 4), order, pairing)
-    return lhs, rhs
+    lhs, rhs, denom, shift = _identity_grid(which, order)
+    return _from_grid(lhs, denom, shift, order), _from_grid(rhs, denom, shift, order)
 
 
 def verify_identity(which: str, order: int) -> Tuple[bool, Optional[Fraction]]:
@@ -591,6 +563,8 @@ def verify_identity(which: str, order: int) -> Tuple[bool, Optional[Fraction]]:
     Returns (True, None) when every coefficient below the order agrees,
     otherwise (False, smallest mismatching exponent).
     """
-    lhs, rhs = identity_sides(which, order)
-    mismatch = lhs.first_mismatch(rhs)
-    return (mismatch is None, mismatch)
+    lhs, rhs, denom, shift = _identity_grid(which, order)
+    if lhs == rhs:
+        return True, None
+    k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+    return False, Fraction(k + shift, denom)

@@ -2,15 +2,16 @@
 
 Each oracle recomputes a quantity from first principles along a different
 algorithmic route than the library: alternating Weyl-orbit sums check
-character data, a quadratic-time Euler product checks the pentagonal-number
-expansion, the `Fraction` Weyl-dimension table checks the integer one, a
-convolve-and-peel decomposition checks the tensor-product path, `Fraction`
-Freudenthal over every weight and a `Fraction`-height peel check the
-integer, orbit-driven weight systems and decompositions, and `Fraction`-dict
-series products check the integer eta-quotient recurrences of the character
-models and identity sides, `Fraction` evaluation at every candidate
-checks the integer rational-root search of the level solver, and a
-`Fraction` polynomial product checks its integer level polynomial.  They are
+character data, a quadratic-time Euler product and the pentagonal-number
+expansion check the integer Euler product, the `Fraction` Weyl-dimension
+table checks the integer one, a convolve-and-peel decomposition checks the
+tensor-product path, `Fraction` Freudenthal over every weight and a
+`Fraction`-height peel check the integer, orbit-driven weight systems and
+decompositions, `Fraction`-dict direct sums and series products check the
+integer sums and eta-quotient recurrences of the character models and both
+sides of every identity, `Fraction` evaluation at every candidate checks the
+integer rational-root search of the level solver, and a `Fraction`
+polynomial product checks its integer level polynomial.  They are
 deliberately slow and simple.
 """
 
@@ -22,16 +23,7 @@ from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
 from lieconf.liealg import SimpleAlgebra
-from lieconf.qseries import (
-    CHARACTER_MODELS,
-    IDENTITY_NAMES,
-    PuiseuxSeries,
-    SeriesError,
-    _delta,
-    _kw_sum,
-    _signed_double_sum,
-    euler_phi,
-)
+from lieconf.qseries import CHARACTER_MODELS, IDENTITY_NAMES, PuiseuxSeries, SeriesError
 from lieconf.reps import NotACharacter, freudenthal_weights, split_coords, weyl_dim
 
 Coords = Tuple[int, ...]
@@ -274,13 +266,85 @@ def fraction_decompose(
 
 
 # ---------------------------------------------------------------------------
-# series: the product sides built by Fraction-dict multiply, inverse and pow
+# series: direct sums as Fraction dicts, product sides by Fraction-dict
+# multiply, inverse and pow
+
+
+def pentagonal_euler_phi(order: int) -> PuiseuxSeries:
+    """prod_{n>=1} (1 - q^n) via the pentagonal-number expansion, to q^order."""
+    if order < 1:
+        raise SeriesError("order must be >= 1")
+    coeffs: Dict[int, Fraction] = {0: Fraction(1)}
+    k = 1
+    while k * (3 * k - 1) // 2 < order:
+        sign = Fraction(-1 if k % 2 else 1)
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e < order:
+                coeffs[e] = sign
+        k += 1
+    return PuiseuxSeries(1, coeffs, order)
+
+
+def fraction_delta(order: int) -> PuiseuxSeries:
+    """Triangular-number theta series sum_{n>=0} q^(n(n+1)/2)."""
+    coeffs: Dict[int, Fraction] = {}
+    n = 0
+    while n * (n + 1) // 2 < order:
+        coeffs[n * (n + 1) // 2] = Fraction(1)
+        n += 1
+    return PuiseuxSeries(1, coeffs, order)
+
+
+def fraction_signed_double_sum(order: int) -> PuiseuxSeries:
+    """sum_{l>=0} (l+1) sum_{i=0..l} (-1)^(l-i) (2i+1) q^((l(l+2)-i(i+1))/2).
+
+    The (l, i) term's exponent is minimal at i = l, where it equals l/2, so
+    l ranges over l/2 < order; the inner loop runs downward from i = l and
+    stops as soon as the exponent reaches the order.
+    """
+    coeffs: Dict[int, Fraction] = {}
+    bound = 2 * order  # scaled by denom 2
+    l = 0
+    while l < bound:
+        base = l * (l + 2)
+        for i in range(l, -1, -1):
+            e = base - i * (i + 1)  # twice the exponent
+            if e >= bound:
+                break
+            coeffs[e] = coeffs.get(e, Fraction(0)) + (-1) ** (l - i) * (l + 1) * (
+                2 * i + 1
+            )
+        l += 1
+    return PuiseuxSeries(2, coeffs, bound)
+
+
+def fraction_kw_sum(order: int) -> PuiseuxSeries:
+    """-(1/8) sum (-1)^((j-1)(k+1)/4) (j^2-k^2) q^((jk-3)/4) over odd j > k >= 1
+    with (j-k)/2 odd; the exponent is integral on that index set."""
+    coeffs: Dict[int, Fraction] = {}
+    k = 1
+    while k * (k + 2) - 3 < 4 * order:  # smallest admissible j is k + 2
+        j = k + 2
+        while (j * k - 3) < 4 * order:
+            if ((j - k) // 2) % 2 == 1:
+                sign_exp = (j - 1) * (k + 1)
+                if sign_exp % 4:
+                    raise SeriesError("sign exponent (j-1)(k+1)/4 must be integral")
+                e, r = divmod(j * k - 3, 4)
+                if r:
+                    raise SeriesError("exponent (jk-3)/4 must be integral")
+                term = Fraction(-(j * j - k * k), 8) * (-1) ** (sign_exp // 4)
+                coeffs[e] = coeffs.get(e, Fraction(0)) + term
+            j += 2
+        k += 2
+    coeffs = {e: c for e, c in coeffs.items() if c}
+    return PuiseuxSeries(1, coeffs, order)
 
 
 def _phi_inverse_power(power: int, order_num: int, denom: int = 1) -> PuiseuxSeries:
     """phi(q)^(-power) known for exponents < order_num/denom."""
     need = order_num // denom + 1
-    return (euler_phi(need).inverse() ** power).truncate(Fraction(order_num, denom))
+    return (pentagonal_euler_phi(need).inverse() ** power).truncate(Fraction(order_num, denom))
 
 
 def fraction_character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeries:
@@ -290,10 +354,10 @@ def fraction_character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeri
     if order < 1:
         raise SeriesError("order must be >= 1")
     if model == "delta":
-        return _delta(order)
+        return fraction_delta(order)
     if model == "weyl_M3":
-        phi = euler_phi(order)
-        phi_half = euler_phi(2 * order).substitute(1, 2)
+        phi = pentagonal_euler_phi(order)
+        phi_half = pentagonal_euler_phi(2 * order).substitute(1, 2)
         ratio = phi * phi_half.inverse()
         series = ratio**6 * PuiseuxSeries.monomial(Fraction(1, 8), 1, order + 1)
         return series.truncate(order)
@@ -320,25 +384,25 @@ def fraction_character(model: str, ell: int = 0, order: int = 32) -> PuiseuxSeri
 
 def fraction_identity_sides(which: str, order: int) -> Tuple[PuiseuxSeries, PuiseuxSeries]:
     """The (left, right) sides of `lieconf.qseries.identity_sides`, by series
-    products; the direct sums on the right are shared with the package."""
+    products and the `Fraction`-dict direct sums above."""
     if which not in IDENTITY_NAMES:
         raise SeriesError(f"unknown identity {which!r}")
     if order < 4:
         raise SeriesError("order must be >= 4")
     if which == "delta_eta":
-        lhs = _delta(order)
-        phi = euler_phi(order)
-        rhs = euler_phi(order).substitute(2, 1) ** 2 * phi.inverse()
+        lhs = fraction_delta(order)
+        phi = pentagonal_euler_phi(order)
+        rhs = pentagonal_euler_phi(order).substitute(2, 1) ** 2 * phi.inverse()
         return lhs, rhs.truncate(order)
     if which == "eq92":
-        phi = euler_phi(order)
-        phi_half = euler_phi(2 * order).substitute(1, 2)
+        phi = pentagonal_euler_phi(order)
+        phi_half = pentagonal_euler_phi(2 * order).substitute(1, 2)
         lhs = phi**12 * phi_half.inverse() ** 6
-        return lhs.truncate(order), _signed_double_sum(order)
+        return lhs.truncate(order), fraction_signed_double_sum(order)
     if which == "kw":
-        return _delta(order) ** 6, _kw_sum(order)
+        return fraction_delta(order) ** 6, fraction_kw_sum(order)
     lhs = fraction_character("weyl_M3", 0, order)
-    rhs = _phi_inverse_power(6, order) * _signed_double_sum(order)
+    rhs = _phi_inverse_power(6, order) * fraction_signed_double_sum(order)
     rhs = rhs * PuiseuxSeries.monomial(Fraction(1, 8), 1, order + 1)
     return lhs, rhs.truncate(order)
 

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from lieconf.liealg import AlgebraType, LieError, build_algebra
 from lieconf import embed
-from lieconf.reps import DEFAULT_CAP, NotACharacter, freudenthal_weights
+from lieconf.reps import NotACharacter, freudenthal_weights
 from lieconf.embed import (
     DUAL_PAIR_FAMILIES,
     SubalgebraSpec,
@@ -288,11 +288,11 @@ class TestVerifyAdjointBranching:
     def test_true_branchings_verify(self):
         # slsl:2,3 and spsp:2,2, as the dual-pair constructions state them
         assert embed._verify_adjoint_branching(
-            (self.A1, self.A2), "gl", [((1,), (1, 0))], {((2,), (1, 1)): 1}, DEFAULT_CAP
+            (self.A1, self.A2), "gl", [((1,), (1, 0))], {((2,), (1, 1)): 1}
         )
         assert embed._verify_adjoint_branching(
             (self.C2, self.C2), "alt", [((1, 0), (1, 0))],
-            {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): 1}, DEFAULT_CAP,
+            {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): 1},
         )
 
     @pytest.mark.parametrize(
@@ -321,12 +321,10 @@ class TestVerifyAdjointBranching:
     ):
         algs = tuple(build_algebra(t) for t in algs)
         with pytest.raises(LieError) as info:
-            embed._verify_adjoint_branching(algs, kind, module, p_components, DEFAULT_CAP)
+            embed._verify_adjoint_branching(algs, kind, module, p_components)
         assert str(info.value) == message
 
     def test_non_character_multiset_is_rejected(self, monkeypatch):
         monkeypatch.setattr(embed, "_adjoint_weights", lambda *args: {(1, 0): 1, (0, 0): 1})
         with pytest.raises(NotACharacter):
-            embed._verify_adjoint_branching(
-                (self.A2,), "gl", [((1, 0),)], {((1, 0),): 1}, DEFAULT_CAP
-            )
+            embed._verify_adjoint_branching((self.A2,), "gl", [((1, 0),)], {((1, 0),): 1})

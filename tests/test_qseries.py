@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lieconf import qseries
 from lieconf.qseries import (
     CHARACTER_MODELS,
     IDENTITY_NAMES,
@@ -18,7 +19,15 @@ from lieconf.qseries import (
 )
 from lieconf.qseries import SeriesError, _convolve, _eta_quotient, _exact_div, _power
 
-from oracles import fraction_character, fraction_identity_sides, naive_euler_product
+from oracles import (
+    fraction_character,
+    fraction_delta,
+    fraction_identity_sides,
+    fraction_kw_sum,
+    fraction_signed_double_sum,
+    naive_euler_product,
+    pentagonal_euler_phi,
+)
 
 # partition numbers p(0), p(1), ...
 PARTITIONS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77]
@@ -221,9 +230,15 @@ class TestEulerProduct:
         phi = euler_phi(40)
         assert phi * phi.inverse() == 1
 
+    @pytest.mark.parametrize("order", [1, 2, 30, 200])
+    def test_matches_the_pentagonal_expansion(self, order):
+        assert _layout(euler_phi(order)) == _layout(pentagonal_euler_phi(order))
+
     def test_bad_order_raises(self):
         with pytest.raises(SeriesError):
             euler_phi(0)
+        with pytest.raises(SeriesError, match="MAX_ORDER"):
+            euler_phi(MAX_ORDER + 1)
 
 
 class TestCharacterModels:
@@ -339,6 +354,38 @@ class TestIdentities:
         piece = character("sl2_m32", 2, 10) * character("sl2_m4", 2, 10)
         assert piece.order_exponent == 10 - Fraction(1, 4) - 3
 
+    @pytest.mark.parametrize(
+        "name, side, index, exponent",
+        [
+            ("eq92", "_signed_double_sum", 11, Fraction(11, 2)),  # half-integer grid
+            ("thm92", "_signed_double_sum", 8, Fraction(33, 8)),  # (8 + 1/4)/2
+            ("kw", "_kw_sum", 8, Fraction(8)),
+            ("delta_eta", "_triangular", 7, Fraction(7)),
+        ],
+        ids=["eq92", "thm92", "kw", "delta_eta"],
+    )
+    def test_changed_grid_coefficient_gives_its_exponent(
+        self, monkeypatch, name, side, index, exponent
+    ):
+        original = getattr(qseries, side)
+
+        def changed(n):
+            coeffs = original(n)
+            coeffs[index] += 1
+            return coeffs
+
+        monkeypatch.setattr(qseries, side, changed)
+        assert verify_identity(name, 24) == (False, exponent)
+
+    def test_verification_builds_no_fraction_or_series(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_identity built a Fraction or a series")
+
+        monkeypatch.setattr(qseries, "Fraction", refuse)
+        monkeypatch.setattr(qseries, "PuiseuxSeries", refuse)
+        for name in IDENTITY_NAMES:
+            assert verify_identity(name, 48) == (True, None)
+
     def test_bad_arguments(self):
         with pytest.raises(SeriesError):
             verify_identity("eq93", 20)
@@ -358,6 +405,22 @@ class TestIntegerEngine:
     def test_identity_sides_match_the_fraction_oracle(self, name, order):
         new, old = identity_sides(name, order), fraction_identity_sides(name, order)
         assert [_layout(s) for s in new] == [_layout(s) for s in old]
+
+    @pytest.mark.parametrize("order", [4, 5, 24, 61, 300])
+    @pytest.mark.parametrize(
+        "side, denom, oracle",
+        [
+            (qseries._triangular, 1, fraction_delta),
+            (qseries._signed_double_sum, 2, fraction_signed_double_sum),
+            (qseries._kw_sum, 1, fraction_kw_sum),
+        ],
+        ids=["triangular", "signed_double_sum", "kw_sum"],
+    )
+    def test_direct_sums_match_the_fraction_oracle(self, side, denom, oracle, order):
+        coeffs = side(order)
+        assert len(coeffs) == denom * order
+        assert all(type(c) is int for c in coeffs)
+        assert _layout(qseries._from_grid(coeffs, denom, 0, order)) == _layout(oracle(order))
 
     @pytest.mark.parametrize("order", [1, 2, 3, 8, 40])
     @pytest.mark.parametrize("ell", [0, 1, 2, 3])
