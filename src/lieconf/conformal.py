@@ -25,7 +25,6 @@ from .liealg import (
 from .reps import (
     casimir,
     dual_weight,
-    dynkin_index,
     irreps_of_dim,
     tensor_decompose,
     weyl_dim,
@@ -90,12 +89,6 @@ def _as_number(k: Level) -> Union[Fraction, QuadraticNumber]:
     return Fraction(k)
 
 
-def _is_zero(x: Union[Fraction, QuadraticNumber]) -> bool:
-    if isinstance(x, QuadraticNumber):
-        return x.sign() == 0
-    return x == 0
-
-
 # ---------------------------------------------------------------------------
 # central charge
 
@@ -105,12 +98,10 @@ def central_charge(alg: Union[SimpleAlgebra, AlgebraType, str], k: Level):
     alg = build_algebra(alg)
     k = _as_number(k)
     den = k + alg.dual_coxeter
-    if _is_zero(den):
+    if not den:
         raise LieError(
             f"level {k} is critical for {alg.type}: k = -h_vee = -{alg.dual_coxeter}"
         )
-    if isinstance(den, QuadraticNumber):
-        return (k * alg.dim) * den.inverse()
     return k * alg.dim / den
 
 
@@ -332,9 +323,9 @@ def level_flags(
     crit = []
     for i, (typ, j) in enumerate(sub.factors):
         alg = build_algebra(typ)
-        if _is_zero(j * k + alg.dual_coxeter):
+        if not j * k + alg.dual_coxeter:
             crit.append(i)
-    ambient_critical = _is_zero(k + ambient.dual_coxeter)
+    ambient_critical = not k + ambient.dual_coxeter
     return LevelFlags(tuple(crit), ambient_critical)
 
 
@@ -356,49 +347,28 @@ class APReport(NamedTuple):
     critical_factors: List[int]
 
 
-def ap_check(case: BranchingCase, k: Level, method: str = "factor") -> APReport:
+def ap_check(case: BranchingCase, k: Level) -> APReport:
     """Evaluate the balance criterion for every component of p at level k.
 
-    ``method`` selects between two algebraically equal evaluations: "factor"
-    sums Casimir eigenvalues over factor data at levels k_j = j_j k;
-    "restricted" rescales each factor's Casimir and dual Coxeter number by
-    its embedding index and works at the ambient level.
+    Component lambda balances when sum_j C_j(lambda) / (2 (j_j k + h_j)) = 1,
+    summing Casimir eigenvalues over the factors at their levels k_j = j_j k.
+    A factor whose denominator vanishes is critical and leaves every row
+    unevaluated.
     """
-    if method not in ("factor", "restricted"):
-        raise LieError(f"unknown method {method!r}")
     k = _as_number(k)
     algs = case.p_components.algebras
-    indices = case.sub.indices
-    denoms: List[Optional[Union[Fraction, QuadraticNumber]]] = []
-    critical: List[int] = []
-    for i, (alg, j) in enumerate(zip(algs, indices)):
-        if method == "factor":
-            den = 2 * (j * k + alg.dual_coxeter)
-        else:
-            den = 2 * (k + Fraction(alg.dual_coxeter) / j)
-        if _is_zero(den):
-            critical.append(i)
-            denoms.append(None)
-        else:
-            denoms.append(den)
+    denoms = [2 * (j * k + alg.dual_coxeter) for alg, j in zip(algs, case.sub.indices)]
+    critical = [i for i, den in enumerate(denoms) if not den]
     rows: List[Tuple[int, Optional[Union[Fraction, QuadraticNumber]], bool]] = []
-    all_balanced = not critical
     for idx, (comp, _mult) in enumerate(case.p_components.sorted_items()):
         if critical:
             rows.append((idx, None, False))
             continue
-        lhs: Union[Fraction, QuadraticNumber] = Fraction(0)
-        for alg, j, den, w in zip(algs, indices, denoms, comp):
-            c = casimir(alg, w)
-            if method == "restricted":
-                c = c / j
-            if isinstance(den, QuadraticNumber):
-                lhs = lhs + c * den.inverse()
-            else:
-                lhs = lhs + c / den
-        balanced = lhs == 1
-        rows.append((idx, lhs, balanced))
-        all_balanced = all_balanced and balanced
+        lhs = sum(
+            (casimir(alg, w) / den for alg, den, w in zip(algs, denoms, comp)), Fraction(0)
+        )
+        rows.append((idx, lhs, lhs == 1))
+    all_balanced = not critical and all(balanced for _idx, _lhs, balanced in rows)
     return APReport(rows, all_balanced, critical)
 
 

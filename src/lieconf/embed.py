@@ -447,10 +447,7 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
         if n < 1 or m < 1:
             raise LieError("BB needs n, m >= 1")
         case = dual_pair_branching("OO", 2 * n + 1, 2 * m + 1)
-        sub = SubalgebraSpec(case.sub.factors, label)
-        return BranchingCase(
-            case.ambient, sub, case.p_components, case.source, case.level, case.slot_groups
-        )
+        return case._replace(sub=SubalgebraSpec(case.sub.factors, label))
 
     if family == "CC":
         t1, t2 = _sp_type(n), _sp_type(m)
@@ -488,72 +485,50 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
 # single-factor built-in cases
 
 
-def _single_case(
-    ambient: AlgebraType,
-    factor: AlgebraType,
-    p_weights: Sequence[Coords],
-    label: str,
-    source: str,
-    ambient_kind: str,
-    module_weight: Coords,
-    level: Fraction,
-) -> BranchingCase:
-    return _build_case(
-        ambient,
-        [(factor, Fraction(1))],
-        [(w,) for w in p_weights],
-        label,
-        source,
-        ambient_kind,
-        [(module_weight,)],
-        level=level,
-    )
-
-
 def _spsl_case(n: int) -> BranchingCase:
     if n < 2:
         raise LieError("spsl needs n >= 2")
     t = AlgebraType("C", n)
     alg = build_algebra(t)
-    return _single_case(
+    return _build_case(
         AlgebraType("A", 2 * n - 1),
-        t,
-        [fundamental(alg, 2)],
+        [(t, 1)],
+        [(fundamental(alg, 2),)],
         f"spsl:{n}",
         f"sp({2 * n}) in sl({2 * n}) via the defining module",
         "gl",
-        defining_weight(alg),
-        Fraction(-1),
+        [(defining_weight(alg),)],
+        level=Fraction(-1),
     )
 
 
 def _g2_b3_case() -> BranchingCase:
     t = AlgebraType("G", 2)
     alg = build_algebra(t)
-    return _single_case(
+    return _build_case(
         AlgebraType("B", 3),
-        t,
-        [fundamental(alg, 1)],
+        [(t, 1)],
+        [(fundamental(alg, 1),)],
         "G2-in-B3",
         "G2 in so(7) via the 7-dimensional module",
         "alt",
-        fundamental(alg, 1),
-        Fraction(-2),
+        [(fundamental(alg, 1),)],
+        level=Fraction(-2),
     )
 
 
 def _b3_d4_case() -> BranchingCase:
     t = AlgebraType("B", 3)
     alg = build_algebra(t)
-    return _single_case(
+    return _build_case(
         AlgebraType("D", 4),
-        t,
-        [fundamental(alg, 1)],
+        [(t, 1)],
+        [(fundamental(alg, 1),)],
         "B3-in-D4",
         "so(7) in so(8) via the 8-dimensional spin module",
         "alt",
-        fundamental(alg, 3),
-        Fraction(-2),
+        [(fundamental(alg, 3),)],
+        level=Fraction(-2),
     )
 
 
@@ -565,20 +540,18 @@ def embedding_index(
     ambient: Union[SimpleAlgebra, AlgebraType, str],
     sub_factor: Union[SimpleAlgebra, AlgebraType, str],
     restriction: Union[Decomposition, Dict[Coords, int]],
-    ambient_module: Optional[Coords] = None,
 ) -> Fraction:
     """Dynkin index of an embedding from the restriction of a faithful module.
 
-    ``restriction`` gives the decomposition of an ambient module as a
-    ``sub_factor``-module (trivial summands allowed, weight 0).  The index is
-    the ratio of total normalized Dynkin indices, sub over ambient.  By
-    default the ambient module is the defining module of a classical ambient
-    and the adjoint otherwise; pass ``ambient_module`` to override.
+    ``restriction`` gives the decomposition of the ambient module
+    :func:`defining_weight` (the defining module of a classical ambient, the
+    adjoint otherwise) as a ``sub_factor``-module (trivial summands allowed,
+    weight 0).  The index is the ratio of total normalized Dynkin indices,
+    sub over ambient.
     """
     amb = build_algebra(ambient)
     sub = build_algebra(sub_factor)
-    if ambient_module is None:
-        ambient_module = defining_weight(amb)
+    module = defining_weight(amb)
     if isinstance(restriction, Decomposition):
         comps = {key[0]: mult for key, mult in restriction.components.items()}
     else:
@@ -586,7 +559,7 @@ def embedding_index(
     if not comps:
         raise LieError("restriction must contain at least one component")
     restricted_dim = sum(mult * weyl_dim(sub, w) for w, mult in comps.items())
-    module_dim = weyl_dim(amb, ambient_module)
+    module_dim = weyl_dim(amb, module)
     if restricted_dim != module_dim:
         raise LieError(
             f"restriction has dimension {restricted_dim}, "
@@ -595,7 +568,7 @@ def embedding_index(
     total = sum(
         (mult * dynkin_index(sub, w) for w, mult in comps.items()), Fraction(0)
     )
-    return total / dynkin_index(amb, ambient_module)
+    return total / dynkin_index(amb, module)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +587,7 @@ def _parse_weight_rows(label: str, factors: Sequence[SimpleAlgebra], rows) -> Tu
         if (
             not isinstance(row, list)
             or len(row) != alg.rank
-            or not all(isinstance(x, int) and x >= 0 for x in row)
+            or not all(type(x) is int and x >= 0 for x in row)
         ):
             raise LieError(
                 f"case {label!r}: weight {row!r} is not a dominant "
@@ -622,6 +595,11 @@ def _parse_weight_rows(label: str, factors: Sequence[SimpleAlgebra], rows) -> Tu
             )
         out.append(tuple(row))
     return tuple(out)
+
+
+def _require_string(label: str, field: str, value) -> None:
+    if not isinstance(value, str):
+        raise LieError(f"case {label!r}: {field} must be a JSON string, got {value!r}")
 
 
 def _case_from_document(entry) -> BranchingCase:
@@ -634,9 +612,10 @@ def _case_from_document(entry) -> BranchingCase:
     missing = required - set(entry)
     if missing:
         raise LieError(f"case {label!r}: missing fields {sorted(missing)}")
+    _require_string(label, "ambient", entry["ambient"])
     try:
         ambient = AlgebraType.parse(entry["ambient"])
-    except (LieError, TypeError) as exc:
+    except LieError as exc:
         raise LieError(f"case {label!r}: bad ambient: {exc}") from None
     raw_factors = entry["factors"]
     if not isinstance(raw_factors, list) or not raw_factors:
@@ -645,15 +624,18 @@ def _case_from_document(entry) -> BranchingCase:
     for item in raw_factors:
         if not isinstance(item, dict) or "type" not in item or "index" not in item:
             raise LieError(f"case {label!r}: each factor needs 'type' and 'index'")
+        _require_string(label, "factor type", item["type"])
+        _require_string(label, "factor index", item["index"])
         try:
             typ = AlgebraType.parse(item["type"])
             idx = parse_rational(item["index"])
-        except (LieError, ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise LieError(f"case {label!r}: bad factor: {exc}") from None
         factors.append((typ, idx))
+    _require_string(label, "level", entry["level"])
     try:
         level = parse_rational(entry["level"])
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise LieError(f"case {label!r}: bad level: {exc}") from None
     sub = SubalgebraSpec(tuple(factors), label)
     algs = sub.algebras
@@ -665,7 +647,7 @@ def _case_from_document(entry) -> BranchingCase:
         if not isinstance(item, dict) or "weights" not in item:
             raise LieError(f"case {label!r}: each p component needs 'weights'")
         mult = item.get("mult", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if type(mult) is not int or mult < 1:
             raise LieError(f"case {label!r}: bad multiplicity {mult!r}")
         key = _parse_weight_rows(label, algs, item["weights"])
         components[key] = components.get(key, 0) + mult
@@ -683,22 +665,17 @@ def _case_from_document(entry) -> BranchingCase:
 def load_catalog(source=None) -> Catalog:
     """Load and validate a catalog document (default: the shipped catalog).
 
-    ``source`` may be a parsed JSON array, a JSON string, or a filesystem
-    path.  Any schema violation, duplicate label, or dimension mismatch
-    rejects the whole document, naming the offending label.
+    ``source`` may be a parsed JSON array or the path of a JSON file; a path
+    is always opened, whatever its name.  Any schema violation, duplicate
+    label, or dimension mismatch rejects the whole document, naming the
+    offending label.
     """
-    if source is None:
-        with open(_SHIPPED_CATALOG, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    elif isinstance(source, (list, tuple)):
+    if isinstance(source, (list, tuple)):
         document = list(source)
     else:
-        text = str(source)
-        if text.lstrip().startswith("["):
-            document = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
+        path = _SHIPPED_CATALOG if source is None else source
+        with open(path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
     if not isinstance(document, list):
         raise LieError("catalog document must be a JSON array of cases")
     return Catalog(_case_from_document(entry) for entry in document)

@@ -389,18 +389,6 @@ def build_algebra(typ: Union[str, AlgebraType, SimpleAlgebra]) -> SimpleAlgebra:
     return _build(typ)
 
 
-def inner_product(alg: SimpleAlgebra, lam: Sequence[Rational], mu: Sequence[Rational]) -> Fraction:
-    return alg.inner_product(lam, mu)
-
-
-def positive_roots(alg: SimpleAlgebra) -> list[Coords]:
-    return list(alg.positive_roots_omega)
-
-
-def in_root_lattice(alg: SimpleAlgebra, lam: Sequence[Rational]) -> bool:
-    return alg.in_root_lattice(lam)
-
-
 def constructible_types(max_rank: int = 8) -> list[AlgebraType]:
     """Every valid (family, rank) combination with rank <= max_rank, sorted."""
     out = []

@@ -33,13 +33,10 @@ __all__ = [
     "identity_sides",
     "CHARACTER_MODELS",
     "IDENTITY_NAMES",
-    "DEFAULT_DENOM",
     "MAX_ORDER",
 ]
 
 Rational = Union[int, Fraction]
-
-DEFAULT_DENOM = 8
 
 # Largest truncation order accepted by `character` and `identity_sides`; the
 # product sides cost O(order^2) big-integer steps.

@@ -20,7 +20,8 @@ from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .liealg import Coords, LieError, Rational, SimpleAlgebra, SizeError
 
-DEFAULT_CAP = 100_000
+# Largest module (weights counted with multiplicity) any function here builds.
+MAX_MODULE_DIM = 100_000
 
 
 class NotACharacter(LieError):
@@ -214,12 +215,15 @@ def _weight_system(alg: SimpleAlgebra, lam: Coords) -> Mapping[Coords, int]:
     return MappingProxyType(out)
 
 
-def freudenthal_weights(alg: SimpleAlgebra, lam: Sequence[Rational], cap: int = DEFAULT_CAP) -> WeightSystem:
+def _check_dim(what: str, dim: int) -> None:
+    if dim > MAX_MODULE_DIM:
+        raise SizeError(f"{what} {dim} exceeds the cap MAX_MODULE_DIM = {MAX_MODULE_DIM}")
+
+
+def freudenthal_weights(alg: SimpleAlgebra, lam: Sequence[Rational]) -> WeightSystem:
     """Weight multiset of the irreducible module with highest weight lam."""
     lam = _check_dominant(alg, lam)
-    d = weyl_dim(alg, lam)
-    if d > cap:
-        raise SizeError(f"dim {d} exceeds the cap {cap}")
+    _check_dim("dim", weyl_dim(alg, lam))
     return WeightSystem((alg,), dict(_weight_system(alg, lam)))
 
 
@@ -250,13 +254,12 @@ def product_dim(algs: Sequence[SimpleAlgebra], module: Sequence[Coords]) -> int:
 
 
 def product_weight_system(
-    algs: Sequence[SimpleAlgebra], module: Sequence[Coords], cap: int = DEFAULT_CAP
+    algs: Sequence[SimpleAlgebra], module: Sequence[Coords]
 ) -> Dict[Coords, int]:
     """Weight multiset of an outer tensor product, keyed by concatenated coordinates."""
     if len(algs) != len(module):
         raise LieError("one highest weight per factor is required")
-    if product_dim(algs, module) > cap:
-        raise SizeError(f"product dimension exceeds the cap {cap}")
+    _check_dim("product dimension", product_dim(algs, module))
     acc: Dict[Coords, int] = {(): 1}
     for a, w in zip(algs, module):
         factor = _weight_system(a, _check_dominant(a, w))
@@ -299,14 +302,13 @@ class Decomposition(NamedTuple):
 
 
 def tensor_decompose(
-    alg: SimpleAlgebra, lam: Sequence[Rational], mu: Sequence[Rational], cap: int = DEFAULT_CAP
+    alg: SimpleAlgebra, lam: Sequence[Rational], mu: Sequence[Rational]
 ) -> Decomposition:
     """Decompose L(lam) (x) L(mu) into irreducibles by the Klimyk algorithm."""
     lam = _check_dominant(alg, lam)
     mu = _check_dominant(alg, mu)
     dl, dm = weyl_dim(alg, lam), weyl_dim(alg, mu)
-    if dl * dm > cap:
-        raise SizeError(f"tensor dimension {dl * dm} exceeds the cap {cap}")
+    _check_dim("tensor dimension", dl * dm)
     if dl < dm:
         lam, mu = mu, lam
     n = alg.rank
@@ -349,9 +351,7 @@ def pair_weights(ws: Dict[Coords, int], part: str) -> Dict[Coords, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def decompose_weight_system(
-    alg_product: Sequence[SimpleAlgebra], ws, cap: int = DEFAULT_CAP
-) -> Decomposition:
+def decompose_weight_system(alg_product: Sequence[SimpleAlgebra], ws) -> Decomposition:
     """Greedy peel-off of a character multiset into irreducible components.
 
     Repeatedly selects the maximal weight (largest (w, 2 rho), ties broken by
@@ -360,8 +360,7 @@ def decompose_weight_system(
     """
     algs = tuple(alg_product)
     entries = dict(ws.entries if isinstance(ws, WeightSystem) else ws)
-    if sum(entries.values()) > cap:
-        raise SizeError(f"multiset size exceeds the cap {cap}")
+    _check_dim("multiset size", sum(entries.values()))
     form = height_form(algs)
 
     # Max-heap on (height, coordinates); each weight's height is computed once.
@@ -383,7 +382,7 @@ def decompose_weight_system(
         if not all(a.is_dominant(p) for a, p in zip(algs, parts)):
             raise NotACharacter(f"maximal weight {top} is not dominant")
         comps[parts] = m
-        char = product_weight_system(algs, parts, cap=cap)
+        char = product_weight_system(algs, parts)
         for w, cm in char.items():
             old = remaining.get(w)
             new = (old or 0) - m * cm
@@ -397,19 +396,15 @@ def decompose_weight_system(
 
 
 def square_decompose(
-    alg_product: Sequence[SimpleAlgebra],
-    module: Sequence[Coords],
-    part: str,
-    cap: int = DEFAULT_CAP,
+    alg_product: Sequence[SimpleAlgebra], module: Sequence[Coords], part: str
 ) -> Decomposition:
     """Decompose the exterior or symmetric square of an outer-tensor module."""
     algs = tuple(alg_product)
-    ws = product_weight_system(algs, module, cap=cap)
+    ws = product_weight_system(algs, module)
     v = sum(ws.values())
     pair_count = v * (v - 1) // 2 if part == "alt" else v * (v + 1) // 2
-    if pair_count > cap:
-        raise SizeError(f"square dimension {pair_count} exceeds the cap {cap}")
-    result = decompose_weight_system(algs, pair_weights(ws, part), cap=cap)
+    _check_dim("square dimension", pair_count)
+    result = decompose_weight_system(algs, pair_weights(ws, part))
     if result.dim() != pair_count:
         raise LieError("square decomposition does not preserve dimension")
     return result

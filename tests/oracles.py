@@ -10,9 +10,11 @@ tensor-product path, `Fraction` Freudenthal over every weight and a
 decompositions, `Fraction`-dict direct sums and series products check the
 integer sums and eta-quotient recurrences of the character models and both
 sides of every identity, `Fraction` evaluation at every candidate checks the
-integer rational-root search of the level solver, and a `Fraction`
-polynomial product checks its integer level polynomial.  They are
-deliberately slow and simple.
+integer rational-root search of the level solver, a `Fraction`
+polynomial product checks its integer level polynomial, and the balance
+criterion evaluated at the ambient level, with every factor's Casimir and
+dual Coxeter number rescaled by its embedding index, checks the library's
+evaluation at the factor levels.  They are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
+from lieconf.conformal import APReport
 from lieconf.liealg import SimpleAlgebra
 from lieconf.qseries import CHARACTER_MODELS, IDENTITY_NAMES, PuiseuxSeries, SeriesError
-from lieconf.reps import NotACharacter, freudenthal_weights, split_coords, weyl_dim
+from lieconf.reps import NotACharacter, casimir, freudenthal_weights, split_coords, weyl_dim
 
 Coords = Tuple[int, ...]
 
@@ -470,3 +473,41 @@ def fraction_level_polynomial(entries: Sequence[Tuple[Fraction, Fraction, int]])
         total.pop()
     scale = lcm(*(c.denominator for c in total))
     return [int(c * scale) for c in total]
+
+
+# ---------------------------------------------------------------------------
+# the balance criterion at the ambient level
+
+
+def restricted_balance(case, k) -> APReport:
+    """The balance criterion of `lieconf.conformal.ap_check`, evaluated at the ambient level.
+
+    Each factor's Casimir eigenvalue and dual Coxeter number are rescaled by
+    its embedding index j, so component lambda balances when
+    sum_j (C_j(lambda) / j) / (2 (k + h_j / j)) = 1.  This equals the
+    library's sum over the factor levels j k term by term.
+    """
+    algs = case.p_components.algebras
+    indices = case.sub.indices
+    denoms = []
+    critical: List[int] = []
+    for i, (alg, j) in enumerate(zip(algs, indices)):
+        den = 2 * (k + Fraction(alg.dual_coxeter) / j)
+        if den == 0:
+            critical.append(i)
+            denoms.append(None)
+        else:
+            denoms.append(den)
+    rows = []
+    all_balanced = not critical
+    for idx, (comp, _mult) in enumerate(case.p_components.sorted_items()):
+        if critical:
+            rows.append((idx, None, False))
+            continue
+        lhs = Fraction(0)
+        for alg, j, den, w in zip(algs, indices, denoms, comp):
+            lhs = lhs + casimir(alg, w) / j / den
+        balanced = lhs == 1
+        rows.append((idx, lhs, balanced))
+        all_balanced = all_balanced and balanced
+    return APReport(rows, all_balanced, critical)

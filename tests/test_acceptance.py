@@ -32,7 +32,7 @@ from lieconf.conformal import (
 )
 from lieconf.qseries import PuiseuxSeries, identity_sides, verify_identity
 
-from oracles import check_character, peel_tensor
+from oracles import check_character, peel_tensor, restricted_balance
 
 TENSOR_FAMILIES = ("slsl", "spsp", "soso", "spso", "BB")
 
@@ -221,8 +221,8 @@ def test_criterion_6_randomized_cross_validation():
     catalog = load_catalog()
     for label in sorted(catalog.labels()):
         case = catalog[label]
-        factor = ap_check(case, case.level, method="factor")
-        restricted = ap_check(case, case.level, method="restricted")
+        factor = ap_check(case, case.level)
+        restricted = restricted_balance(case, case.level)
         assert factor.per_component == restricted.per_component, label
         assert factor.all_balanced and restricted.all_balanced, label
 

@@ -16,6 +16,7 @@ import lieconf
 from lieconf.cli import main
 from lieconf.liealg import build_algebra
 from lieconf.reps import casimir, dynkin_index, weyl_dim
+from test_embed import NON_STRING_FIELDS, NON_STRING_IDS, toy_entry
 
 
 def run(argv):
@@ -295,6 +296,8 @@ class TestClassify:
             ["conformal", "solve", "--ambient", "E8", "--factors", ",".join(["A1"] * 200)],
             "MAX_LEVEL_ENTRIES",
         ),
+        (["rep", "weights", "A2", "400,400"], "MAX_MODULE_DIM"),
+        (["rep", "tensor", "A2", "30,30", "30,30"], "MAX_MODULE_DIM"),
     ],
 )
 def test_size_above_a_cap_fails_at_once(argv, cap):
@@ -391,6 +394,19 @@ class TestFlagsAndIO:
             ["conformal", "solve", "--case", "G2-in-B3", "--catalog", str(path)]
         )
         assert code == 0
+
+    def test_catalog_path_starting_with_a_bracket_is_opened(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("[toy].json").write_text(json.dumps([toy_entry()]))
+        assert main(["--catalog", "[toy].json", "classify", "exceptional"]) == 0
+
+    @pytest.mark.parametrize("field, fields, value", NON_STRING_FIELDS, ids=NON_STRING_IDS)
+    def test_non_string_catalog_field_is_a_usage_error(self, tmp_path, field, fields, value):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps([toy_entry(**fields)]))
+        code, out, err = run(["classify", "exceptional", "--catalog", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: case 'toy-G2-in-B3': {field} must be a JSON string, got {value!r}\n"
 
     def test_missing_catalog_file_is_a_usage_error(self, tmp_path):
         code, out, err = run(

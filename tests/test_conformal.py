@@ -38,7 +38,7 @@ from lieconf.conformal import (
     _rational_roots,
 )
 
-from oracles import fraction_level_polynomial, fraction_rational_roots
+from oracles import fraction_level_polynomial, fraction_rational_roots, restricted_balance
 
 
 def levels_of(case):
@@ -306,8 +306,8 @@ class TestAPCheck:
 
     def test_methods_agree_on_catalog(self):
         for case in load_catalog():
-            a = ap_check(case, case.level, method="factor")
-            b = ap_check(case, case.level, method="restricted")
+            a = ap_check(case, case.level)
+            b = restricted_balance(case, case.level)
             assert a.per_component == b.per_component
             assert a.all_balanced and b.all_balanced
 
@@ -318,8 +318,8 @@ class TestAPCheck:
     @settings(max_examples=60, deadline=None)
     def test_methods_agree_everywhere(self, label, k):
         case = resolve_case(label)
-        a = ap_check(case, k, method="factor")
-        b = ap_check(case, k, method="restricted")
+        a = ap_check(case, k)
+        b = restricted_balance(case, k)
         assert a.per_component == b.per_component
         assert a.all_balanced == b.all_balanced
 
@@ -353,11 +353,6 @@ class TestAPCheck:
         assert report.critical_factors
         for _idx, value, balanced in report.per_component:
             assert value is None and not balanced
-
-    def test_unknown_method_rejected(self):
-        case = resolve_case("G2-in-B3")
-        with pytest.raises(LieError):
-            ap_check(case, Fraction(-2), method="hybrid")
 
 
 class TestNecessaryConstants:

@@ -154,6 +154,29 @@ class TestDefiningWeight:
         assert defining_weight(g2) == g2.theta
 
 
+def toy_entry(**fields):
+    """A valid catalog entry, G2 in B3 at level -2, with ``fields`` replaced."""
+    entry = {
+        "label": "toy-G2-in-B3",
+        "ambient": "B3",
+        "factors": [{"type": "G2", "index": "1"}],
+        "level": "-2",
+        "p": [{"weights": [[1, 0]], "mult": 1}],
+    }
+    entry.update(fields)
+    return entry
+
+
+# (field named in the error, replaced entry fields, the offending value)
+NON_STRING_FIELDS = [
+    ("ambient", {"ambient": 7}, 7),
+    ("factor type", {"factors": [{"type": 2, "index": "1"}]}, 2),
+    ("factor index", {"factors": [{"type": "G2", "index": 1}]}, 1),
+    ("level", {"level": -2}, -2),
+]
+NON_STRING_IDS = [field for field, _fields, _value in NON_STRING_FIELDS]
+
+
 class TestCatalog:
     def test_loads_fifteen_unique_cases(self):
         catalog = load_catalog()
@@ -217,6 +240,20 @@ class TestCatalog:
                 "level": "-2",
                 "p": [{"weights": [[0, 1]], "mult": 1}],  # 14-dim p: dims can't match
             }])
+
+    @pytest.mark.parametrize("field, fields, value", NON_STRING_FIELDS, ids=NON_STRING_IDS)
+    def test_non_string_field_names_label_and_field(self, field, fields, value):
+        with pytest.raises(LieError) as info:
+            load_catalog([toy_entry(**fields)])
+        assert str(info.value) == (
+            f"case 'toy-G2-in-B3': {field} must be a JSON string, got {value!r}"
+        )
+
+    def test_booleans_are_not_integers(self):
+        with pytest.raises(LieError, match="is not a dominant integral weight"):
+            load_catalog([toy_entry(p=[{"weights": [[True, False]], "mult": 1}])])
+        with pytest.raises(LieError, match="bad multiplicity True"):
+            load_catalog([toy_entry(p=[{"weights": [[1, 0]], "mult": True}])])
 
     def test_builtin_labels_listing(self):
         labels = builtin_labels()

@@ -14,8 +14,6 @@ from lieconf.liealg import (
     build_algebra,
     constructible_types,
     fundamental,
-    in_root_lattice,
-    positive_roots,
 )
 
 DUAL_COXETER = {
@@ -156,8 +154,8 @@ class TestStructuralInvariants:
     def test_theta_dominant_and_in_root_lattice(self, typ):
         alg = build_algebra(typ)
         assert alg.is_dominant(alg.theta)
-        assert in_root_lattice(alg, alg.theta)
-        assert in_root_lattice(alg, alg.theta_short)
+        assert alg.in_root_lattice(alg.theta)
+        assert alg.in_root_lattice(alg.theta_short)
 
 
 class TestKnownHighestRoots:
@@ -235,22 +233,22 @@ class TestWeylAction:
 class TestRootLattice:
     def test_positive_roots_are_roots(self):
         alg = build_algebra("G2")
-        roots = positive_roots(alg)
+        roots = alg.positive_roots_omega
         assert len(roots) == 6
         assert alg.theta in roots
         for r in roots:
-            assert in_root_lattice(alg, r)
+            assert alg.in_root_lattice(r)
 
     def test_weight_outside_root_lattice(self):
         a2 = build_algebra("A2")
-        assert not in_root_lattice(a2, (1, 0))
-        assert in_root_lattice(a2, (1, 1))
+        assert not a2.in_root_lattice((1, 0))
+        assert a2.in_root_lattice((1, 1))
 
     def test_root_lattice_index_respects_center(self):
         # A1: weight lattice / root lattice has order 2
         a1 = build_algebra("A1")
-        assert in_root_lattice(a1, (2,))
-        assert not in_root_lattice(a1, (3,))
+        assert a1.in_root_lattice((2,))
+        assert not a1.in_root_lattice((3,))
 
 
 class TestWeightValidation:

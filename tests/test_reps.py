@@ -213,8 +213,9 @@ class TestFreudenthal:
             assert ws.entries[(0,) * alg.rank] == alg.rank
 
     def test_size_cap(self):
-        with pytest.raises(SizeError):
-            freudenthal_weights(build_algebra("A2"), (40, 40), cap=100)
+        # L(400, 400) of A2 has dimension 64,481,201.
+        with pytest.raises(SizeError, match="exceeds the cap MAX_MODULE_DIM = 100000"):
+            freudenthal_weights(build_algebra("A2"), (400, 400))
 
 
 def _oracle_modules():
