@@ -286,13 +286,12 @@ def _cmd_conformal_solve(args) -> Handler:
 
 
 def _cmd_conformal_check(args) -> Handler:
-    from .conformal import ap_check, level_flags
+    from .conformal import ap_check
     from .surd import parse_rational
 
     case = _resolve(args)
     level = parse_rational(args.level)
     report = ap_check(case, level)
-    flags = level_flags(case.ambient, case.sub, level)
     rows = []
     for comp, (idx, value, balanced) in zip(
         case.p_components.sorted_items(), report.per_component
@@ -310,8 +309,8 @@ def _cmd_conformal_check(args) -> Handler:
         "case": case.label or case.sub.describe(),
         "level": str(level),
         "all_balanced": report.all_balanced,
-        "critical_factors": list(report.critical_factors),
-        "ambient_critical": flags.ambient_critical,
+        "critical_factors": list(report.flags.critical_factors),
+        "ambient_critical": report.flags.ambient_critical,
         "columns": ["component", "mult", "value", "balanced"],
         "rows": rows,
     }

@@ -339,12 +339,13 @@ class APReport(NamedTuple):
     ``per_component`` rows are (component index, left-hand side, balanced);
     the left-hand side is None when a critical factor made the component
     unevaluable.  ``all_balanced`` holds exactly when every left-hand side
-    equals 1 and no factor is critical.
+    equals 1 and no factor is critical.  ``flags`` are the
+    :func:`level_flags` of the level.
     """
 
     per_component: List[Tuple[int, Optional[Union[Fraction, QuadraticNumber]], bool]]
     all_balanced: bool
-    critical_factors: List[int]
+    flags: LevelFlags
 
 
 def ap_check(case: BranchingCase, k: Level) -> APReport:
@@ -352,13 +353,13 @@ def ap_check(case: BranchingCase, k: Level) -> APReport:
 
     Component lambda balances when sum_j C_j(lambda) / (2 (j_j k + h_j)) = 1,
     summing Casimir eigenvalues over the factors at their levels k_j = j_j k.
-    A factor whose denominator vanishes is critical and leaves every row
-    unevaluated.
+    A critical factor (:func:`level_flags`) leaves every row unevaluated.
     """
     k = _as_number(k)
+    flags = level_flags(case.ambient, case.sub, k)
+    critical = flags.critical_factors
     algs = case.p_components.algebras
     denoms = [2 * (j * k + alg.dual_coxeter) for alg, j in zip(algs, case.sub.indices)]
-    critical = [i for i, den in enumerate(denoms) if not den]
     rows: List[Tuple[int, Optional[Union[Fraction, QuadraticNumber]], bool]] = []
     for idx, (comp, _mult) in enumerate(case.p_components.sorted_items()):
         if critical:
@@ -369,7 +370,7 @@ def ap_check(case: BranchingCase, k: Level) -> APReport:
         )
         rows.append((idx, lhs, lhs == 1))
     all_balanced = not critical and all(balanced for _idx, _lhs, balanced in rows)
-    return APReport(rows, all_balanced, critical)
+    return APReport(rows, all_balanced, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -715,24 +716,21 @@ class Verdict(NamedTuple):
 
     levels: List[QuadraticNumber]
     stated_is_root: bool
-    flags: LevelFlags
     ap: APReport
     ok: bool
 
 
 def verify_case(case: BranchingCase, level: Level, expect_critical: bool = False) -> Verdict:
     """Solve ``case`` for its candidate levels and judge the stated ``level``."""
-    ambient = build_algebra(case.ambient)
-    levels = solve_levels(ambient, case.sub, case.slot_groups)
-    flags = level_flags(ambient, case.sub, level)
+    levels = solve_levels(case.ambient, case.sub, case.slot_groups)
     ap = ap_check(case, level)
     stated_is_root = level in levels
     ok = (
         stated_is_root
-        and flags.critical == expect_critical
+        and ap.flags.critical == expect_critical
         and ap.all_balanced != expect_critical
     )
-    return Verdict(levels, stated_is_root, flags, ap, ok)
+    return Verdict(levels, stated_is_root, ap, ok)
 
 
 def global_report(catalog: Optional[Catalog] = None) -> List[Dict[str, object]]:
@@ -758,7 +756,7 @@ def global_report(catalog: Optional[Catalog] = None) -> List[Dict[str, object]]:
                 "ap": {
                     "level": str(stated),
                     "balanced": verdict.ap.all_balanced,
-                    "critical": verdict.flags.critical,
+                    "critical": verdict.ap.flags.critical,
                 },
                 "status": "ok" if verdict.ok else "fail",
             }

@@ -114,7 +114,6 @@ class BranchingCase(NamedTuple):
     ambient: AlgebraType
     sub: SubalgebraSpec
     p_components: Decomposition
-    source: str = ""
     level: Optional[Fraction] = None
     slot_groups: Optional[Tuple[Tuple[int, ...], ...]] = None
 
@@ -180,7 +179,6 @@ class _SoPieces(NamedTuple):
     vector: Tuple[Coords, ...]
     adjoint: Tuple[Tuple[Coords, ...], ...]
     sym2: Tuple[Coords, ...]
-    dim: int
 
 
 def _so_pieces(m: int) -> _SoPieces:
@@ -188,17 +186,17 @@ def _so_pieces(m: int) -> _SoPieces:
         raise LieError(f"an orthogonal factor so({m}) is not semisimple")
     a1 = AlgebraType("A", 1)
     if m == 3:
-        return _SoPieces((a1,), (2,), ((2,),), (((2,),),), ((4,),), 3)
+        return _SoPieces((a1,), (2,), ((2,),), (((2,),),), ((4,),))
     if m == 4:
         return _SoPieces(
             (a1, a1), (1, 1), ((1,), (1,)),
             (((2,), (0,)), ((0,), (2,))),
-            ((2,), (2,)), 6,
+            ((2,), (2,)),
         )
     typ = AlgebraType("B", (m - 1) // 2) if m % 2 else AlgebraType("D", m // 2)
     alg = build_algebra(typ)
     e1 = fundamental(alg, 1)
-    return _SoPieces((typ,), (1,), (e1,), ((alg.theta,),), (tuple(2 * x for x in e1),), alg.dim)
+    return _SoPieces((typ,), (1,), (e1,), ((alg.theta,),), (tuple(2 * x for x in e1),))
 
 
 def _sp_type(n: int) -> AlgebraType:
@@ -238,45 +236,43 @@ def _convolve(a: Dict[Coords, int], b: Dict[Coords, int]) -> Dict[Coords, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def _merge_systems(systems: Iterable[Dict[Coords, int]]) -> Dict[Coords, int]:
-    out: Dict[Coords, int] = {}
-    for ws in systems:
-        for w, m in ws.items():
-            new = out.get(w, 0) + m
-            if new:
-                out[w] = new
-            else:
-                out.pop(w, None)
-    return out
+def _character(
+    algs: Sequence[SimpleAlgebra],
+    components: Iterable[Tuple[Tuple[Coords, ...], int]],
+) -> Dict[Coords, int]:
+    """Weight multiset of a sum of product modules, given as (component, multiplicity) pairs."""
+    char: Dict[Coords, int] = {}
+    for comp, mult in components:
+        for w, m in product_weight_system(algs, comp).items():
+            char[w] = char.get(w, 0) + mult * m
+    return char
 
 
 def _adjoint_weights(
     algs: Sequence[SimpleAlgebra],
-    ambient_kind: str,
+    ambient: AlgebraType,
     module_components: Sequence[Tuple[Coords, ...]],
 ) -> Dict[Coords, int]:
     """Weight multiset of the ambient adjoint restricted to the subalgebra.
 
-    ``ambient_kind`` selects how the ambient adjoint sits over its defining
-    module V: 'gl' for V (x) V* minus a trivial summand, 'alt' for the
-    exterior square, 'sym' for the symmetric square.
+    The ambient's family fixes how its adjoint sits over the defining module
+    V: V (x) V* minus a trivial summand for sl (A), the symmetric square for
+    sp (C), the exterior square for so (B, D).
     """
-    v_ws = _merge_systems(product_weight_system(algs, comp) for comp in module_components)
-    if ambient_kind == "gl":
+    v_ws = _character(algs, ((comp, 1) for comp in module_components))
+    if ambient.family == "A":
         adj_ws = _convolve(v_ws, _dual_system(v_ws))
         zero = tuple(0 for _ in next(iter(adj_ws)))
         adj_ws[zero] -= 1
         if not adj_ws[zero]:
             del adj_ws[zero]
         return adj_ws
-    if ambient_kind in ("alt", "sym"):
-        return pair_weights(v_ws, ambient_kind)
-    raise LieError(f"unknown ambient kind {ambient_kind!r}")
+    return pair_weights(v_ws, "sym" if ambient.family == "C" else "alt")
 
 
 def _verify_adjoint_branching(
     algs: Sequence[SimpleAlgebra],
-    ambient_kind: str,
+    ambient: AlgebraType,
     module_components: Sequence[Tuple[Coords, ...]],
     p_components: Dict[Tuple[Coords, ...], int],
 ) -> bool:
@@ -293,7 +289,7 @@ def _verify_adjoint_branching(
     vdim = sum(product_dim(algs, comp) for comp in module_components)
     if vdim > VERIFY_DIM_LIMIT:
         return False
-    adj_ws = _adjoint_weights(algs, ambient_kind, module_components)
+    adj_ws = _adjoint_weights(algs, ambient, module_components)
     expected: Dict[Tuple[Coords, ...], int] = {}
     for slot, alg in enumerate(algs):
         comp = tuple(
@@ -303,11 +299,7 @@ def _verify_adjoint_branching(
         expected[comp] = expected.get(comp, 0) + 1
     for comp, mult in p_components.items():
         expected[comp] = expected.get(comp, 0) + mult
-    char: Dict[Coords, int] = {}
-    for comp, mult in expected.items():
-        for w, m in product_weight_system(algs, comp).items():
-            char[w] = char.get(w, 0) + mult * m
-    if char != adj_ws:
+    if _character(algs, expected.items()) != adj_ws:
         derived = decompose_weight_system(algs, adj_ws)
         raise LieError(
             "stated branching disagrees with the recomputed decomposition: "
@@ -321,8 +313,6 @@ def _build_case(
     factors: Sequence[Tuple[AlgebraType, Fraction]],
     p_list: Sequence[Tuple[Coords, ...]],
     label: str,
-    source: str,
-    ambient_kind: str,
     module_components: Sequence[Tuple[Coords, ...]],
     level: Optional[Fraction] = None,
     slot_groups: Optional[Tuple[Tuple[int, ...], ...]] = None,
@@ -333,9 +323,9 @@ def _build_case(
     for comp in p_list:
         components[comp] = components.get(comp, 0) + 1
     p_decomp = Decomposition(algs, components)
-    case = BranchingCase(ambient, sub, p_decomp, source, level, slot_groups)
+    case = BranchingCase(ambient, sub, p_decomp, level, slot_groups)
     case.check_dimensions()
-    _verify_adjoint_branching(algs, ambient_kind, module_components, components)
+    _verify_adjoint_branching(algs, ambient, module_components, components)
     return case
 
 
@@ -367,7 +357,7 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
     """
     if family not in DUAL_PAIR_FAMILIES:
         raise LieError(f"unknown dual-pair family {family!r}")
-    if family != "BB" and (n < 1 or m < 1):
+    if n < 1 or m < 1:
         raise LieError("dual-pair parameters must be positive")
     label = f"{family}:{n},{m}"
 
@@ -381,8 +371,6 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
             [(t1, Fraction(m)), (t2, Fraction(n))],
             [(a1.theta, a2.theta)],
             label,
-            f"tensor dual pair sl({n}) x sl({m}) in sl({n * m})",
-            "gl",
             [(defining_weight(a1), defining_weight(a2))],
         )
 
@@ -401,8 +389,6 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
             [(t1, Fraction(m)), (t2, Fraction(n))],
             p_list,
             label,
-            f"tensor dual pair sp({2 * n}) x sp({2 * m}) in so({4 * n * m})",
-            "alt",
             [(defining_weight(a1), defining_weight(a2))],
         )
 
@@ -417,8 +403,6 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
             factors,
             p_list,
             label,
-            f"tensor dual pair so({n}) x so({m}) in so({n * m})",
-            "alt",
             [p1.vector + p2.vector],
             slot_groups=_block_groups(len(p1.types), len(p2.types)),
         )
@@ -437,15 +421,11 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
             factors,
             p_list,
             label,
-            f"tensor dual pair sp({2 * n}) x so({m}) in sp({2 * n * m})",
-            "sym",
             [(defining_weight(a1),) + p2.vector],
             slot_groups=_block_groups(1, len(p2.types)),
         )
 
     if family == "BB":
-        if n < 1 or m < 1:
-            raise LieError("BB needs n, m >= 1")
         case = dual_pair_branching("OO", 2 * n + 1, 2 * m + 1)
         return case._replace(sub=SubalgebraSpec(case.sub.factors, label))
 
@@ -458,8 +438,6 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
             [(t1, Fraction(1)), (t2, Fraction(1))],
             [(defining_weight(a1), defining_weight(a2))],
             label,
-            f"direct-sum pair sp({2 * n}) x sp({2 * m}) in sp({2 * (n + m)})",
-            "sym",
             [(defining_weight(a1), z2), (z1, defining_weight(a2))],
         )
 
@@ -474,8 +452,6 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
         factors,
         [p1.vector + p2.vector],
         label,
-        f"direct-sum pair so({n}) x so({m}) in so({n + m})",
-        "alt",
         [p1.vector + zeros2, zeros1 + p2.vector],
         slot_groups=_block_groups(len(p1.types), len(p2.types)),
     )
@@ -495,8 +471,6 @@ def _spsl_case(n: int) -> BranchingCase:
         [(t, 1)],
         [(fundamental(alg, 2),)],
         f"spsl:{n}",
-        f"sp({2 * n}) in sl({2 * n}) via the defining module",
-        "gl",
         [(defining_weight(alg),)],
         level=Fraction(-1),
     )
@@ -510,8 +484,6 @@ def _g2_b3_case() -> BranchingCase:
         [(t, 1)],
         [(fundamental(alg, 1),)],
         "G2-in-B3",
-        "G2 in so(7) via the 7-dimensional module",
-        "alt",
         [(fundamental(alg, 1),)],
         level=Fraction(-2),
     )
@@ -525,8 +497,6 @@ def _b3_d4_case() -> BranchingCase:
         [(t, 1)],
         [(fundamental(alg, 1),)],
         "B3-in-D4",
-        "so(7) in so(8) via the 8-dimensional spin module",
-        "alt",
         [(fundamental(alg, 3),)],
         level=Fraction(-2),
     )
@@ -637,7 +607,10 @@ def _case_from_document(entry) -> BranchingCase:
         level = parse_rational(entry["level"])
     except ValueError as exc:
         raise LieError(f"case {label!r}: bad level: {exc}") from None
-    sub = SubalgebraSpec(tuple(factors), label)
+    try:
+        sub = SubalgebraSpec(tuple(factors), label)
+    except LieError as exc:
+        raise LieError(f"case {label!r}: bad factor: {exc}") from None
     algs = sub.algebras
     raw_p = entry["p"]
     if not isinstance(raw_p, list) or not raw_p:
@@ -651,13 +624,7 @@ def _case_from_document(entry) -> BranchingCase:
             raise LieError(f"case {label!r}: bad multiplicity {mult!r}")
         key = _parse_weight_rows(label, algs, item["weights"])
         components[key] = components.get(key, 0) + mult
-    case = BranchingCase(
-        ambient,
-        sub,
-        Decomposition(algs, components),
-        str(entry.get("source", "")),
-        level,
-    )
+    case = BranchingCase(ambient, sub, Decomposition(algs, components), level)
     case.check_dimensions()
     return case
 

@@ -79,27 +79,26 @@ class AlgebraType(_AlgebraTypeFields):
         return cls(m.group(1).upper(), int(m.group(2)))
 
 
-def _dynkin_data(fam: str, n: int) -> tuple[list[Fraction], list[tuple[int, int]]]:
-    """Per-node half-squared-lengths d_i and the bond list of the Dynkin diagram (0-indexed)."""
-    one = Fraction(1)
-    half = Fraction(1, 2)
+def _dynkin_data(fam: str, n: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Per-node integers 6 d_i, d_i the half-squared-lengths, and the bond
+    list of the Dynkin diagram (0-indexed)."""
     if fam == "A":
-        return [one] * n, [(i, i + 1) for i in range(n - 1)]
+        return [6] * n, [(i, i + 1) for i in range(n - 1)]
     if fam == "B":
-        return [one] * (n - 1) + [half], [(i, i + 1) for i in range(n - 1)]
+        return [6] * (n - 1) + [3], [(i, i + 1) for i in range(n - 1)]
     if fam == "C":
-        return [half] * (n - 1) + [one], [(i, i + 1) for i in range(n - 1)]
+        return [3] * (n - 1) + [6], [(i, i + 1) for i in range(n - 1)]
     if fam == "D":
         bonds = [(i, i + 1) for i in range(n - 3)] + [(n - 3, n - 2), (n - 3, n - 1)]
-        return [one] * n, bonds
+        return [6] * n, bonds
     if fam == "E":
         bonds = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
         bonds += [(i, i + 1) for i in range(5, n - 1)]
-        return [one] * n, bonds
+        return [6] * n, bonds
     if fam == "F":
-        return [one, one, half, half], [(0, 1), (1, 2), (2, 3)]
+        return [6, 6, 3, 3], [(0, 1), (1, 2), (2, 3)]
     if fam == "G":
-        return [Fraction(1, 3), one], [(0, 1)]
+        return [2, 6], [(0, 1)]
     raise LieError(f"unknown family {fam!r}")
 
 
@@ -142,12 +141,13 @@ class SimpleAlgebra:
 
     Attributes
     ----------
-    d : half squared lengths (alpha_i, alpha_i)/2 of the simple roots.
-    cartan : rows C[i][j] = 2(alpha_i, alpha_j)/(alpha_i, alpha_i); column j holds
-        the fundamental-weight coordinates of the simple root alpha_j.
-    cartan_inv : C^{-1}, over Fraction; ``_adjugate`` holds it as (adj, det) over integers.
-    form : Gram matrix F[i][j] = (omega_i, omega_j) of the fundamental weights.
-    gram / form_denom : the same form over integers, F = gram / form_denom.
+    d6 : the integers 6 d_i, d_i = (alpha_i, alpha_i)/2 the half squared lengths
+        of the simple roots; ``d`` gives the d_i themselves.
+    cartan : rows C[i][j] = 2(alpha_i, alpha_j)/(alpha_i, alpha_i), over integers;
+        column j holds the fundamental-weight coordinates of the simple root alpha_j.
+        ``_adjugate`` holds its inverse as (adj, det) over integers.
+    gram / form_denom : the Gram matrix (omega_i, omega_j) = d_i (C^{-1})_ij of the
+        fundamental weights, gram / form_denom in lowest terms, from the adjugate.
     positive_roots_omega / positive_roots_alpha : aligned coordinate lists.
     theta / theta_short : highest root and highest short root (equal when simply laced).
     """
@@ -170,8 +170,12 @@ class SimpleAlgebra:
         return self.rank
 
     @cached_property
-    def d(self) -> tuple[Fraction, ...]:
+    def d6(self) -> tuple[int, ...]:
         return tuple(_dynkin_data(self.family, self._table_rank())[0])
+
+    @property
+    def d(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(x, 6) for x in self.d6)
 
     @cached_property
     def rho(self) -> Coords:
@@ -179,18 +183,15 @@ class SimpleAlgebra:
 
     @cached_property
     def cartan(self) -> tuple[tuple[int, ...], ...]:
-        d, bonds = _dynkin_data(self.family, self._table_rank())
+        # Bonded simple roots pair to -max(d_i, d_j), so
+        # C[i][j] = 2(alpha_i, alpha_j)/(alpha_i, alpha_i) = -max(6 d_i, 6 d_j) / (6 d_i).
+        d6 = self.d6
         n = self.rank
-        pairing = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            pairing[i][i] = 2 * d[i]
-        for i, j in bonds:
-            val = -d[i] if d[i] == d[j] else Fraction(-1)
-            pairing[i][j] = pairing[j][i] = val
-        cartan = [[pairing[i][j] / d[i] for j in range(n)] for i in range(n)]
-        if any(x.denominator != 1 for row in cartan for x in row):
-            raise LieError(f"non-integral Cartan matrix for {self.type}")
-        return tuple(tuple(int(x) for x in row) for row in cartan)
+        cartan = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        for i, j in _dynkin_data(self.family, n)[1]:
+            top = max(d6[i], d6[j])
+            cartan[i][j], cartan[j][i] = -top // d6[i], -top // d6[j]
+        return tuple(map(tuple, cartan))
 
     @cached_property
     def cartan_columns(self) -> tuple[tuple[int, ...], ...]:
@@ -200,25 +201,18 @@ class SimpleAlgebra:
     def _adjugate(self) -> tuple[tuple[tuple[int, ...], ...], int]:
         return _invert_integer(self.cartan)
 
-    @cached_property
-    def cartan_inv(self) -> tuple[tuple[Fraction, ...], ...]:
-        adj, det = self._adjugate
-        return tuple(tuple(Fraction(x, det) for x in row) for row in adj)
-
-    @cached_property
-    def form(self) -> tuple[tuple[Fraction, ...], ...]:
-        # F = D * C^{-1}: (omega_i, omega_j), symmetric by construction.
-        return tuple(
-            tuple(di * x for x in row) for di, row in zip(self.d, self.cartan_inv)
-        )
-
+    # (omega_i, omega_j) = d_i (C^{-1})_ij = 6 d_i adj_ij / (6 det), in lowest terms:
+    # form_denom = 6 det / g and gram_ij = 6 d_i adj_ij / g, g the gcd of them all.
     @cached_property
     def form_denom(self) -> int:
-        return math.lcm(*(x.denominator for row in self.form for x in row))
+        adj, det = self._adjugate
+        return 6 * det // math.gcd(6 * det, *(x * a for x, row in zip(self.d6, adj) for a in row))
 
     @cached_property
     def gram(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(tuple(int(x * self.form_denom) for x in row) for row in self.form)
+        adj, det = self._adjugate
+        g = 6 * det // self.form_denom
+        return tuple(tuple(x * a // g for a in row) for x, row in zip(self.d6, adj))
 
     @cached_property
     def _roots(self) -> tuple:
@@ -282,8 +276,8 @@ class SimpleAlgebra:
             raise LieError(
                 f"{self.type}: (rho, theta) + 1 = {hv}, the closed form gives {self.dual_coxeter}")
 
-        # (a, a) < 2 tested integrally: 6*d_i is an integer for every family.
-        d6 = [int(6 * di) for di in self.d]
+        # (a, a) < 2 tested integrally: (a, a) = sum_j d_j a_j <a, alpha_j^vee>.
+        d6 = self.d6
         shorts = [
             (sum(a), a)
             for a in alphas

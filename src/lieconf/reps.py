@@ -38,9 +38,8 @@ def _weyl_data(alg: SimpleAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
 
     Each root alpha contributes the linear form lam -> sum_i (6 d_i a_i) lam_i;
     the returned denominator is the product of the forms evaluated at rho.
-    6 d_i is an integer for every family.
     """
-    d6 = [int(6 * di) for di in alg.d]
+    d6 = alg.d6
     rows = []
     denom = 1
     for a in alg.positive_roots_alpha:

@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
 Each oracle recomputes a quantity from first principles along a different
-algorithmic route than the library: alternating Weyl-orbit sums check
+algorithmic route than the library: root lengths read off the symmetrized
+Cartan matrix and a `Fraction` Gauss-Jordan inverse check the integer
+invariant form built from the adjugate, alternating Weyl-orbit sums check
 character data, a quadratic-time Euler product and the pentagonal-number
 expansion check the integer Euler product, the `Fraction` Weyl-dimension
 table checks the integer one, a convolve-and-peel decomposition checks the
@@ -14,7 +16,8 @@ integer rational-root search of the level solver, a `Fraction`
 polynomial product checks its integer level polynomial, and the balance
 criterion evaluated at the ambient level, with every factor's Casimir and
 dual Coxeter number rescaled by its embedding index, checks the library's
-evaluation at the factor levels.  They are deliberately slow and simple.
+evaluation at the factor levels and its criticality flags.  They are
+deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from functools import lru_cache
 from math import lcm
 from typing import Dict, List, Sequence, Tuple
 
-from lieconf.conformal import APReport
-from lieconf.liealg import SimpleAlgebra
+from lieconf.conformal import APReport, LevelFlags
+from lieconf.liealg import SimpleAlgebra, build_algebra
 from lieconf.qseries import CHARACTER_MODELS, IDENTITY_NAMES, PuiseuxSeries, SeriesError
 from lieconf.reps import NotACharacter, casimir, freudenthal_weights, split_coords, weyl_dim
 
@@ -134,6 +137,55 @@ def peel_tensor(alg: SimpleAlgebra, lam: Coords, mu: Coords) -> Dict[Coords, int
 
 
 # ---------------------------------------------------------------------------
+# root lengths, Cartan inverse and invariant form over Fraction
+
+
+@lru_cache(maxsize=None)
+def fraction_root_halves(alg: SimpleAlgebra) -> tuple[Fraction, ...]:
+    """Half squared lengths d_i of the simple roots from the Cartan matrix
+    alone: d_i C_ij = d_j C_ji along every bond, and the long roots have d = 1."""
+    cartan = alg.cartan
+    d = {0: Fraction(1)}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j, c in enumerate(cartan[i]):
+            if c and j not in d:
+                d[j] = d[i] * c / cartan[j][i]
+                stack.append(j)
+    top = max(d.values())
+    return tuple(d[i] / top for i in range(alg.rank))
+
+
+@lru_cache(maxsize=None)
+def fraction_cartan_inverse(alg: SimpleAlgebra) -> tuple[tuple[Fraction, ...], ...]:
+    """C^{-1} by plain Gauss-Jordan elimination over `Fraction`."""
+    n = alg.rank
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(alg.cartan)
+    ]
+    for k in range(n):
+        p = next(i for i in range(k, n) if rows[i][k])
+        rows[k], rows[p] = rows[p], rows[k]
+        pivot = rows[k][k]
+        rows[k] = [x / pivot for x in rows[k]]
+        for i in range(n):
+            f = rows[i][k]
+            if i != k and f:
+                rows[i] = [x - f * y if y else x for x, y in zip(rows[i], rows[k])]
+    return tuple(tuple(row[n:]) for row in rows)
+
+
+def fraction_form(alg: SimpleAlgebra) -> tuple[tuple[Fraction, ...], ...]:
+    """Gram matrix (omega_i, omega_j) = d_i (C^{-1})_ij of the fundamental weights."""
+    return tuple(
+        tuple(d * x for x in row)
+        for d, row in zip(fraction_root_halves(alg), fraction_cartan_inverse(alg))
+    )
+
+
+# ---------------------------------------------------------------------------
 # Weyl dimension, weight systems and peel-off decomposition over Fraction
 
 
@@ -141,10 +193,11 @@ def fraction_weyl_data(alg: SimpleAlgebra) -> tuple[tuple[tuple[int, ...], ...],
     """The Weyl-dimension table with a `Fraction` product per root coordinate:
     the row of root alpha holds 6 d_i a_i, the denominator is the product of
     the rows summed (evaluated at rho)."""
+    d = fraction_root_halves(alg)
     rows = []
     denom = 1
     for a in alg.positive_roots_alpha:
-        row = tuple(int(6 * alg.d[i] * ai) for i, ai in enumerate(a))
+        row = tuple(int(6 * d[i] * ai) for i, ai in enumerate(a))
         rows.append(row)
         denom *= sum(row)
     return tuple(rows), denom
@@ -168,7 +221,8 @@ def fraction_weight_system(alg: SimpleAlgebra, lam: Coords) -> Dict[Coords, int]
     collecting every weight and reducing each one to the dominant chamber."""
     n = alg.rank
     cols = alg.cartan_columns
-    inv = alg.cartan_inv
+    inv = fraction_cartan_inverse(alg)
+    d = fraction_root_halves(alg)
 
     @lru_cache(maxsize=None)
     def depth_coords(w: Coords) -> tuple[Fraction, ...]:
@@ -176,7 +230,7 @@ def fraction_weight_system(alg: SimpleAlgebra, lam: Coords) -> Dict[Coords, int]
         return tuple(sum(inv[i][j] * diff[j] for j in range(n)) for i in range(n))
 
     def pair_root(w: Coords, alpha_coords: Coords) -> Fraction:
-        return sum(alg.d[i] * a * w[i] for i, a in enumerate(alpha_coords) if a)
+        return sum(d[i] * a * w[i] for i, a in enumerate(alpha_coords) if a)
 
     # Collect the weight set: walk down by simple roots; a candidate belongs to
     # the module iff its dominant representative mu satisfies lam - mu in the
@@ -239,7 +293,7 @@ def fraction_decompose(
     """Greedy peel-off of a character multiset over a product of simple
     algebras, with `Fraction` heights (w, 2 rho) recomputed on every step and
     characters from `fraction_weight_system`."""
-    form = [2 * sum(row) for a in algs for row in a.form]
+    form = [2 * sum(row) for a in algs for row in fraction_form(a)]
 
     def height(w: Coords) -> Fraction:
         return sum((c * t for c, t in zip(w, form)), Fraction(0))
@@ -485,7 +539,8 @@ def restricted_balance(case, k) -> APReport:
     Each factor's Casimir eigenvalue and dual Coxeter number are rescaled by
     its embedding index j, so component lambda balances when
     sum_j (C_j(lambda) / j) / (2 (k + h_j / j)) = 1.  This equals the
-    library's sum over the factor levels j k term by term.
+    library's sum over the factor levels j k term by term.  The flags come
+    from the same rescaled denominators and k + h_g, not from `level_flags`.
     """
     algs = case.p_components.algebras
     indices = case.sub.indices
@@ -510,4 +565,5 @@ def restricted_balance(case, k) -> APReport:
         balanced = lhs == 1
         rows.append((idx, lhs, balanced))
         all_balanced = all_balanced and balanced
-    return APReport(rows, all_balanced, critical)
+    ambient_critical = k + build_algebra(case.ambient).dual_coxeter == 0
+    return APReport(rows, all_balanced, LevelFlags(tuple(critical), ambient_critical))

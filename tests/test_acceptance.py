@@ -224,6 +224,7 @@ def test_criterion_6_randomized_cross_validation():
         factor = ap_check(case, case.level)
         restricted = restricted_balance(case, case.level)
         assert factor.per_component == restricted.per_component, label
+        assert factor.flags == restricted.flags, label
         assert factor.all_balanced and restricted.all_balanced, label
 
 
@@ -246,8 +247,8 @@ def test_criterion_8_paper_worked_examples():
         assert str(case.ambient) == ambient, label
         verdict = verify_case(case, Fraction(-1, 2))
         assert verdict.stated_is_root, label
-        assert verdict.flags.critical_factors == (), label
-        assert not verdict.flags.ambient_critical, label
+        assert verdict.ap.flags.critical_factors == (), label
+        assert not verdict.ap.flags.ambient_critical, label
         assert verdict.ap.all_balanced and verdict.ok, label
         factor_dims = sum(build_algebra(typ).dim for typ, _ in case.sub.factors)
         assert case.p_components.dim() + factor_dims == build_algebra(case.ambient).dim, label

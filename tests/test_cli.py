@@ -16,7 +16,7 @@ import lieconf
 from lieconf.cli import main
 from lieconf.liealg import build_algebra
 from lieconf.reps import casimir, dynkin_index, weyl_dim
-from test_embed import NON_STRING_FIELDS, NON_STRING_IDS, toy_entry
+from test_embed import BAD_CATALOG_FIELDS, BAD_CATALOG_IDS, toy_entry
 
 
 def run(argv):
@@ -400,13 +400,13 @@ class TestFlagsAndIO:
         Path("[toy].json").write_text(json.dumps([toy_entry()]))
         assert main(["--catalog", "[toy].json", "classify", "exceptional"]) == 0
 
-    @pytest.mark.parametrize("field, fields, value", NON_STRING_FIELDS, ids=NON_STRING_IDS)
-    def test_non_string_catalog_field_is_a_usage_error(self, tmp_path, field, fields, value):
+    @pytest.mark.parametrize("name, fields, message", BAD_CATALOG_FIELDS, ids=BAD_CATALOG_IDS)
+    def test_non_string_catalog_field_is_a_usage_error(self, tmp_path, name, fields, message):
         path = tmp_path / "cat.json"
         path.write_text(json.dumps([toy_entry(**fields)]))
         code, out, err = run(["classify", "exceptional", "--catalog", str(path)])
         assert code == 2 and out == ""
-        assert err == f"error: case 'toy-G2-in-B3': {field} must be a JSON string, got {value!r}\n"
+        assert err == f"error: case 'toy-G2-in-B3': {message}\n"
 
     def test_missing_catalog_file_is_a_usage_error(self, tmp_path):
         code, out, err = run(

@@ -309,6 +309,7 @@ class TestAPCheck:
             a = ap_check(case, case.level)
             b = restricted_balance(case, case.level)
             assert a.per_component == b.per_component
+            assert a.flags == b.flags
             assert a.all_balanced and b.all_balanced
 
     @given(
@@ -321,6 +322,7 @@ class TestAPCheck:
         a = ap_check(case, k)
         b = restricted_balance(case, k)
         assert a.per_component == b.per_component
+        assert a.flags == b.flags
         assert a.all_balanced == b.all_balanced
 
     @pytest.mark.parametrize(
@@ -350,7 +352,7 @@ class TestAPCheck:
         case = dual_pair_branching("slsl", 3, 3)
         report = ap_check(case, Fraction(-1))
         assert not report.all_balanced
-        assert report.critical_factors
+        assert report.flags.critical_factors
         for _idx, value, balanced in report.per_component:
             assert value is None and not balanced
 
@@ -481,7 +483,7 @@ class TestVerifyCase:
     def test_diagonal_pair_is_ok_only_when_criticality_is_expected(self):
         case = resolve_case("slsl:3,3")
         expected = verify_case(case, -1, expect_critical=True)
-        assert expected.ok and expected.stated_is_root and expected.flags.critical
+        assert expected.ok and expected.stated_is_root and expected.ap.flags.critical
         unexpected = verify_case(case, -1)
         assert not unexpected.ok and not unexpected.ap.all_balanced
 

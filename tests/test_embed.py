@@ -167,14 +167,18 @@ def toy_entry(**fields):
     return entry
 
 
-# (field named in the error, replaced entry fields, the offending value)
-NON_STRING_FIELDS = [
-    ("ambient", {"ambient": 7}, 7),
-    ("factor type", {"factors": [{"type": 2, "index": "1"}]}, 2),
-    ("factor index", {"factors": [{"type": "G2", "index": 1}]}, 1),
-    ("level", {"level": -2}, -2),
+# (test id, replaced entry fields, the error after the case label)
+BAD_CATALOG_FIELDS = [
+    ("ambient", {"ambient": 7}, "ambient must be a JSON string, got 7"),
+    ("factor type", {"factors": [{"type": 2, "index": "1"}]},
+     "factor type must be a JSON string, got 2"),
+    ("factor index", {"factors": [{"type": "G2", "index": 1}]},
+     "factor index must be a JSON string, got 1"),
+    ("level", {"level": -2}, "level must be a JSON string, got -2"),
+    ("factor index 0", {"factors": [{"type": "G2", "index": "0"}]},
+     "bad factor: embedding index must be positive, got 0 for G2"),
 ]
-NON_STRING_IDS = [field for field, _fields, _value in NON_STRING_FIELDS]
+BAD_CATALOG_IDS = [name for name, _fields, _message in BAD_CATALOG_FIELDS]
 
 
 class TestCatalog:
@@ -241,13 +245,11 @@ class TestCatalog:
                 "p": [{"weights": [[0, 1]], "mult": 1}],  # 14-dim p: dims can't match
             }])
 
-    @pytest.mark.parametrize("field, fields, value", NON_STRING_FIELDS, ids=NON_STRING_IDS)
-    def test_non_string_field_names_label_and_field(self, field, fields, value):
+    @pytest.mark.parametrize("name, fields, message", BAD_CATALOG_FIELDS, ids=BAD_CATALOG_IDS)
+    def test_non_string_field_names_label_and_field(self, name, fields, message):
         with pytest.raises(LieError) as info:
             load_catalog([toy_entry(**fields)])
-        assert str(info.value) == (
-            f"case 'toy-G2-in-B3': {field} must be a JSON string, got {value!r}"
-        )
+        assert str(info.value) == f"case 'toy-G2-in-B3': {message}"
 
     def test_booleans_are_not_integers(self):
         with pytest.raises(LieError, match="is not a dominant integral weight"):
@@ -321,30 +323,31 @@ class TestVerifyAdjointBranching:
     only to explain a mismatch."""
 
     A1, A2, C2 = build_algebra("A1"), build_algebra("A2"), build_algebra("C2")
+    A5, D8 = AlgebraType.parse("A5"), AlgebraType.parse("D8")
 
     def test_true_branchings_verify(self):
         # slsl:2,3 and spsp:2,2, as the dual-pair constructions state them
         assert embed._verify_adjoint_branching(
-            (self.A1, self.A2), "gl", [((1,), (1, 0))], {((2,), (1, 1)): 1}
+            (self.A1, self.A2), self.A5, [((1,), (1, 0))], {((2,), (1, 1)): 1}
         )
         assert embed._verify_adjoint_branching(
-            (self.C2, self.C2), "alt", [((1, 0), (1, 0))],
+            (self.C2, self.C2), self.D8, [((1, 0), (1, 0))],
             {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): 1},
         )
 
     @pytest.mark.parametrize(
-        "algs, kind, module, p_components, message",
+        "algs, ambient, module, p_components, message",
         [
             (
                 # slsl:2,3 with its 24-dimensional p swapped for L(23) (x) 1
-                ("A1", "A2"), "gl", [((1,), (1, 0))], {((23,), (0, 0)): 1},
+                ("A1", "A2"), A5, [((1,), (1, 0))], {((23,), (0, 0)): 1},
                 "stated branching disagrees with the recomputed decomposition: "
                 "derived {((2,), (1, 1)): 1, ((0,), (1, 1)): 1, ((2,), (0, 0)): 1}, "
                 "stated {((2,), (0, 0)): 1, ((0,), (1, 1)): 1, ((23,), (0, 0)): 1}",
             ),
             (
                 # spsp:2,2 with (theta, omega_2) swapped for (omega_2, theta)
-                ("C2", "C2"), "alt", [((1, 0), (1, 0))], {((0, 1), (2, 0)): 2},
+                ("C2", "C2"), D8, [((1, 0), (1, 0))], {((0, 1), (2, 0)): 2},
                 "stated branching disagrees with the recomputed decomposition: "
                 "derived {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): 1, ((2, 0), (0, 0)): 1, "
                 "((0, 0), (2, 0)): 1}, "
@@ -354,14 +357,14 @@ class TestVerifyAdjointBranching:
         ids=["slsl:2,3", "spsp:2,2"],
     )
     def test_swapped_component_names_both_decompositions(
-        self, algs, kind, module, p_components, message
+        self, algs, ambient, module, p_components, message
     ):
         algs = tuple(build_algebra(t) for t in algs)
         with pytest.raises(LieError) as info:
-            embed._verify_adjoint_branching(algs, kind, module, p_components)
+            embed._verify_adjoint_branching(algs, ambient, module, p_components)
         assert str(info.value) == message
 
     def test_non_character_multiset_is_rejected(self, monkeypatch):
         monkeypatch.setattr(embed, "_adjoint_weights", lambda *args: {(1, 0): 1, (0, 0): 1})
         with pytest.raises(NotACharacter):
-            embed._verify_adjoint_branching((self.A2,), "gl", [((1, 0),)], {((1, 0),): 1})
+            embed._verify_adjoint_branching((self.A2,), self.A2.type, [((1, 0),)], {((1, 0),): 1})

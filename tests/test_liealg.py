@@ -1,6 +1,7 @@
 """Root systems, Cartan data, and the normalized invariant form."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +16,7 @@ from lieconf.liealg import (
     constructible_types,
     fundamental,
 )
+from oracles import fraction_form, fraction_root_halves
 
 DUAL_COXETER = {
     "A": lambda n: n + 1,
@@ -120,11 +122,12 @@ class TestStructuralInvariants:
     @pytest.mark.parametrize("typ", all_types(), ids=str)
     def test_cartan_inverse(self, typ):
         alg = build_algebra(typ)
+        adj, det = alg._adjugate
         n = alg.rank
         for i in range(n):
             for j in range(n):
-                s = sum(alg.cartan[i][k] * alg.cartan_inv[k][j] for k in range(n))
-                assert s == (1 if i == j else 0)
+                s = sum(alg.cartan[i][k] * adj[k][j] for k in range(n))
+                assert s == (det if i == j else 0)
 
     @pytest.mark.parametrize("typ", all_types(), ids=str)
     def test_form_is_symmetric_and_matches_cartan(self, typ):
@@ -132,7 +135,7 @@ class TestStructuralInvariants:
         n = alg.rank
         for i in range(n):
             for j in range(n):
-                assert alg.form[i][j] == alg.form[j][i]
+                assert alg.gram[i][j] == alg.gram[j][i]
         # (omega_i, alpha_j) = delta_ij d_j: pair each fundamental weight
         # against the simple roots via the form.
         for j in range(n):
@@ -140,6 +143,21 @@ class TestStructuralInvariants:
             for i in range(n):
                 got = alg.inner_product(fundamental(alg, i + 1), alpha)
                 assert got == (alg.d[j] if i == j else 0)
+
+    @pytest.mark.parametrize("typ", all_types() + [AlgebraType("D", 72)], ids=str)
+    def test_integer_form_matches_fraction_oracle(self, typ):
+        # gram / form_denom in lowest terms against d_i (C^{-1})_ij by Fraction
+        # Gauss-Jordan, with d_i read off the symmetrized Cartan matrix.
+        alg = build_algebra(typ)
+        form = fraction_form(alg)
+        assert alg.form_denom == lcm(*(x.denominator for row in form for x in row))
+        assert alg.gram == tuple(tuple(x * alg.form_denom for x in row) for row in form)
+        assert alg.d6 == tuple(6 * x for x in fraction_root_halves(alg))
+        adj, det = alg._adjugate
+        n = alg.rank
+        product = [[sum(alg.cartan[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                   for i in range(n)]
+        assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
 
     @pytest.mark.parametrize("typ", all_types(), ids=str)
     def test_short_root_norms(self, typ):
@@ -274,6 +292,6 @@ class TestWeightValidation:
         n = MAX_TABLE_RANK + 1
         assert (alg.dim, alg.dual_coxeter) == (n * (2 * n - 1), 2 * n - 2)
         assert alg.num_positive == n * (n - 1)
-        for table in ("theta", "positive_roots_alpha", "form", "cartan", "rho"):
+        for table in ("theta", "positive_roots_alpha", "gram", "d6", "cartan", "rho"):
             with pytest.raises(SizeError):
                 getattr(alg, table)
