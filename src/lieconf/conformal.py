@@ -700,9 +700,11 @@ def _family_rows() -> List[Tuple[BranchingCase, Fraction, bool]]:
     for n in range(3, 7):
         for m in range(3, 7):
             rows.append((dual_pair_branching("OO", n, m), 2 - Fraction(n + m, 2), n == m))
+    # Built-in labels only; an empty catalog spares a read of the shipped one.
+    builtin = Catalog(())
     for n in range(2, 7):
-        rows.append((resolve_case(f"spsl:{n}"), Fraction(-1), False))
-    rows.append((resolve_case("G2-in-B3"), Fraction(-2), False))
+        rows.append((resolve_case(f"spsl:{n}", builtin), Fraction(-1), False))
+    rows.append((resolve_case("G2-in-B3", builtin), Fraction(-2), False))
     return rows
 
 

@@ -13,7 +13,12 @@ stated branching is checked independently: the adjoint weight multiset is
 rebuilt (exterior/symmetric squares or V (x) V* for the adjoint) and must
 equal the summed characters of k (+) p, which holds exactly when the stated
 components are the decomposition, irreducible characters being linearly
-independent.  The peel-off decomposition runs only to explain a mismatch.
+independent.  Both multisets are compared on packed weights: w is the int
+sum_i w_i R**i (Kronecker substitution), so adding weights is adding ints.
+The radix R is odd and exceeds twice every coordinate of every packed
+weight, so the balanced base-R digits give w back: distinct weights get
+distinct ints, and the packed multisets are equal exactly when the weight
+multisets are.  The peel-off decomposition runs only to explain a mismatch.
 Every case is additionally required to satisfy the dimension identity
 dim(ambient) = sum dim(factors) + dim(p).
 """
@@ -23,8 +28,11 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from fractions import Fraction
-from operator import add
+from functools import lru_cache
+from itertools import chain, combinations, combinations_with_replacement, product, starmap
+from operator import add, mul, sub
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import DUAL_PAIR_FAMILIES
@@ -39,11 +47,11 @@ from .liealg import (
 )
 from .reps import (
     Decomposition,
+    _check_dim,
+    _weight_system,
     decompose_weight_system,
     dynkin_index,
-    pair_weights,
     product_dim,
-    product_weight_system,
     weyl_dim,
 )
 from .surd import parse_rational
@@ -61,8 +69,8 @@ __all__ = [
     "DUAL_PAIR_FAMILIES",
 ]
 
-# Cases whose faithful-module restriction has dimension at most this are
-# re-derived by brute force on construction.
+# Built-in cases whose faithful module V has dimension at most this have
+# their stated branching checked by character equality on construction.
 VERIFY_DIM_LIMIT = 64
 
 
@@ -220,54 +228,56 @@ def defining_weight(alg: SimpleAlgebra) -> Coords:
 
 
 # ---------------------------------------------------------------------------
-# brute-force verification of stated branchings
+# verification of stated branchings on packed weights
 
 
-def _dual_system(ws: Dict[Coords, int]) -> Dict[Coords, int]:
-    return {tuple(-x for x in w): m for w, m in ws.items()}
+@lru_cache(maxsize=None)
+def _weight_extent(alg: SimpleAlgebra, lam: Coords) -> int:
+    """Largest |coordinate| of a weight of L(lam)."""
+    return max(map(abs, chain.from_iterable(_weight_system(alg, lam))))
 
 
-def _convolve(a: Dict[Coords, int], b: Dict[Coords, int]) -> Dict[Coords, int]:
-    out: Dict[Coords, int] = {}
-    for w1, m1 in a.items():
-        for w2, m2 in b.items():
-            key = tuple(map(add, w1, w2))
-            out[key] = out.get(key, 0) + m1 * m2
-    return {k: v for k, v in out.items() if v}
+@lru_cache(maxsize=None)
+def _packed_weights(alg: SimpleAlgebra, lam: Coords, radix: int, shift: int) -> Tuple[int, ...]:
+    """Weights of L(lam), one per basis vector, packed from coordinate ``shift`` on."""
+    powers = [radix ** (shift + i) for i in range(alg.rank)]
+    return tuple(
+        sum(map(mul, w, powers)) for w, m in _weight_system(alg, lam).items() for _ in range(m)
+    )
 
 
-def _character(
-    algs: Sequence[SimpleAlgebra],
-    components: Iterable[Tuple[Tuple[Coords, ...], int]],
-) -> Dict[Coords, int]:
-    """Weight multiset of a sum of product modules, given as (component, multiplicity) pairs."""
-    char: Dict[Coords, int] = {}
-    for comp, mult in components:
-        for w, m in product_weight_system(algs, comp).items():
-            char[w] = char.get(w, 0) + mult * m
-    return char
+def _packed_module(
+    algs: Sequence[SimpleAlgebra], comp: Tuple[Coords, ...], radix: int
+) -> Tuple[int, ...]:
+    """Packed weights of an outer tensor product, one per basis vector."""
+    out: Tuple[int, ...] = (0,)
+    shift = 0
+    for alg, lam in zip(algs, comp):
+        if any(lam):
+            out = tuple(starmap(add, product(out, _packed_weights(alg, lam, radix, shift))))
+        shift += alg.rank
+    return out
 
 
-def _adjoint_weights(
-    algs: Sequence[SimpleAlgebra],
-    ambient: AlgebraType,
-    module_components: Sequence[Tuple[Coords, ...]],
-) -> Dict[Coords, int]:
-    """Weight multiset of the ambient adjoint restricted to the subalgebra.
+def _unpack(key: int, radix: int, rank: int) -> Coords:
+    """The weight packed as ``key``: its ``rank`` balanced base-``radix`` digits."""
+    half, coords = radix // 2, []
+    for _ in range(rank):
+        key, digit = divmod(key + half, radix)
+        coords.append(digit - half)
+    return tuple(coords)
 
-    The ambient's family fixes how its adjoint sits over the defining module
-    V: V (x) V* minus a trivial summand for sl (A), the symmetric square for
-    sp (C), the exterior square for so (B, D).
-    """
-    v_ws = _character(algs, ((comp, 1) for comp in module_components))
-    if ambient.family == "A":
-        adj_ws = _convolve(v_ws, _dual_system(v_ws))
-        zero = tuple(0 for _ in next(iter(adj_ws)))
-        adj_ws[zero] -= 1
-        if not adj_ws[zero]:
-            del adj_ws[zero]
-        return adj_ws
-    return pair_weights(v_ws, "sym" if ambient.family == "C" else "alt")
+
+def _adjoint_packed(v: Sequence[int], family: str) -> Counter:
+    """The ambient adjoint over the packed defining module ``v``: V (x) V*
+    minus a trivial summand for sl (A), the symmetric square for sp (C), the
+    exterior square for so (B, D)."""
+    if family == "A":
+        adj = Counter(starmap(sub, product(v, v)))
+        adj[0] -= 1
+        return adj
+    pairs = combinations_with_replacement(v, 2) if family == "C" else combinations(v, 2)
+    return Counter(starmap(add, pairs))
 
 
 def _verify_adjoint_branching(
@@ -278,32 +288,42 @@ def _verify_adjoint_branching(
 ) -> bool:
     """Check a stated adjoint branching by character equality.
 
-    The adjoint weight multiset restricted through the faithful module V
-    (:func:`_adjoint_weights`) must equal the summed characters of the
-    stated components: each adjoint of k once, and p with its
-    multiplicities.  Irreducible characters are linearly independent, so
-    this holds exactly when the stated components are the decomposition; the
-    peel-off decomposition runs only to name the derived components in the
-    error.  Returns False when V is too large to check; raises on a mismatch.
+    The adjoint restricted through the faithful module V must have the summed
+    characters of each adjoint of k once and p with its multiplicities.  Both
+    sides are packed with the radix R = 2 max(2 |V coordinate|, |k (+) p
+    coordinate|) + 1, which exceeds twice every coordinate of a sum or
+    difference of two V weights and of a k (+) p weight.  The peel names the
+    derived components on a mismatch.  Returns False when V is too large to
+    check; raises on a mismatch.
     """
     vdim = sum(product_dim(algs, comp) for comp in module_components)
     if vdim > VERIFY_DIM_LIMIT:
         return False
-    adj_ws = _adjoint_weights(algs, ambient, module_components)
-    expected: Dict[Tuple[Coords, ...], int] = {}
-    for slot, alg in enumerate(algs):
-        comp = tuple(
-            alg.theta if j == slot else zero_weight(a)
-            for j, a in enumerate(algs)
-        )
-        expected[comp] = expected.get(comp, 0) + 1
-    for comp, mult in p_components.items():
-        expected[comp] = expected.get(comp, 0) + mult
-    if _character(algs, expected.items()) != adj_ws:
-        derived = decompose_weight_system(algs, adj_ws)
+    expected = Counter(
+        tuple(alg.theta if j == slot else zero_weight(a) for j, a in enumerate(algs))
+        for slot, alg in enumerate(algs)
+    )
+    expected.update(p_components)
+
+    def extent(components) -> int:
+        # Every module passes the size cap before any of its weights is built.
+        for comp in components:
+            _check_dim("product dimension", product_dim(algs, comp))
+        return max(_weight_extent(a, lam) for comp in components for a, lam in zip(algs, comp))
+
+    radix = 2 * max(2 * extent(module_components), extent(expected)) + 1
+    v = [w for comp in module_components for w in _packed_module(algs, comp, radix)]
+    adj = _adjoint_packed(v, ambient.family)
+    char = Counter(chain.from_iterable(
+        _packed_module(algs, comp, radix) * mult for comp, mult in expected.items()
+    ))
+    if not dict.__eq__(char, adj):  # Counter.__eq__ would compare in a Python loop
+        rank = sum(a.rank for a in algs)
+        unpacked = {_unpack(key, radix, rank): m for key, m in adj.items() if m}
+        derived = decompose_weight_system(algs, unpacked)
         raise LieError(
             "stated branching disagrees with the recomputed decomposition: "
-            f"derived {derived.components}, stated {expected}"
+            f"derived {derived.components}, stated {dict(expected)}"
         )
     return True
 
@@ -476,29 +496,18 @@ def _spsl_case(n: int) -> BranchingCase:
     )
 
 
-def _g2_b3_case() -> BranchingCase:
-    t = AlgebraType("G", 2)
-    alg = build_algebra(t)
-    return _build_case(
-        AlgebraType("B", 3),
-        [(t, 1)],
-        [(fundamental(alg, 1),)],
-        "G2-in-B3",
-        [(fundamental(alg, 1),)],
-        level=Fraction(-2),
-    )
+# label: (ambient, factor, highest weight of p, of the restricted V, level)
+_FIXED_CASES = {
+    "G2-in-B3": ("B3", "G2", (1, 0), (1, 0), -2),
+    "B3-in-D4": ("D4", "B3", (1, 0, 0), (0, 0, 1), -2),
+}
 
 
-def _b3_d4_case() -> BranchingCase:
-    t = AlgebraType("B", 3)
-    alg = build_algebra(t)
+def _fixed_case(label: str) -> BranchingCase:
+    ambient, factor, p, v, level = _FIXED_CASES[label]
     return _build_case(
-        AlgebraType("D", 4),
-        [(t, 1)],
-        [(fundamental(alg, 1),)],
-        "B3-in-D4",
-        [(fundamental(alg, 3),)],
-        level=Fraction(-2),
+        AlgebraType.parse(ambient), [(AlgebraType.parse(factor), 1)], [(p,)], label, [(v,)],
+        level=Fraction(level),
     )
 
 
@@ -572,6 +581,12 @@ def _require_string(label: str, field: str, value) -> None:
         raise LieError(f"case {label!r}: {field} must be a JSON string, got {value!r}")
 
 
+def _reject_unknown(label: str, where: str, item: dict, known: Tuple[str, ...]) -> None:
+    for field in item:
+        if field not in known:
+            raise LieError(f"case {label!r}: unknown {where} {field!r}")
+
+
 def _case_from_document(entry) -> BranchingCase:
     if not isinstance(entry, dict):
         raise LieError("catalog entries must be objects")
@@ -582,6 +597,9 @@ def _case_from_document(entry) -> BranchingCase:
     missing = required - set(entry)
     if missing:
         raise LieError(f"case {label!r}: missing fields {sorted(missing)}")
+    _reject_unknown(label, "field", entry, ("label", "ambient", "factors", "level", "p", "source"))
+    if "source" in entry:
+        _require_string(label, "source", entry["source"])
     _require_string(label, "ambient", entry["ambient"])
     try:
         ambient = AlgebraType.parse(entry["ambient"])
@@ -594,6 +612,7 @@ def _case_from_document(entry) -> BranchingCase:
     for item in raw_factors:
         if not isinstance(item, dict) or "type" not in item or "index" not in item:
             raise LieError(f"case {label!r}: each factor needs 'type' and 'index'")
+        _reject_unknown(label, "factor field", item, ("type", "index"))
         _require_string(label, "factor type", item["type"])
         _require_string(label, "factor index", item["index"])
         try:
@@ -619,6 +638,7 @@ def _case_from_document(entry) -> BranchingCase:
     for item in raw_p:
         if not isinstance(item, dict) or "weights" not in item:
             raise LieError(f"case {label!r}: each p component needs 'weights'")
+        _reject_unknown(label, "p component field", item, ("weights", "mult"))
         mult = item.get("mult", 1)
         if type(mult) is not int or mult < 1:
             raise LieError(f"case {label!r}: bad multiplicity {mult!r}")
@@ -666,10 +686,8 @@ def resolve_case(label: str, catalog: Optional[Catalog] = None) -> BranchingCase
         catalog = load_catalog()
     if label in catalog:
         return catalog[label]
-    if label == "G2-in-B3":
-        return _g2_b3_case()
-    if label == "B3-in-D4":
-        return _b3_d4_case()
+    if label in _FIXED_CASES:
+        return _fixed_case(label)
     match = _SPSL_LABEL.match(label)
     if match:
         return _spsl_case(int(match.group(1)))
@@ -686,4 +704,4 @@ def resolve_case(label: str, catalog: Optional[Catalog] = None) -> BranchingCase
 def builtin_labels(catalog: Optional[Catalog] = None) -> List[str]:
     if catalog is None:
         catalog = load_catalog()
-    return catalog.labels() + ["G2-in-B3", "B3-in-D4", "spsl:<n>", "<family>:<n>,<m>"]
+    return catalog.labels() + [*_FIXED_CASES, "spsl:<n>", "<family>:<n>,<m>"]

@@ -9,15 +9,16 @@ expansion check the integer Euler product, the `Fraction` Weyl-dimension
 table checks the integer one, a convolve-and-peel decomposition checks the
 tensor-product path, `Fraction` Freudenthal over every weight and a
 `Fraction`-height peel check the integer, orbit-driven weight systems and
-decompositions, `Fraction`-dict direct sums and series products check the
-integer sums and eta-quotient recurrences of the character models and both
-sides of every identity, `Fraction` evaluation at every candidate checks the
-integer rational-root search of the level solver, a `Fraction`
-polynomial product checks its integer level polynomial, and the balance
-criterion evaluated at the ambient level, with every factor's Casimir and
-dual Coxeter number rescaled by its embedding index, checks the library's
-evaluation at the factor levels and its criticality flags.  They are
-deliberately slow and simple.
+decompositions, adjoint branchings rebuilt on coordinate-tuple weight dicts
+check the packed-int branching check, `Fraction`-dict direct sums and series
+products check the integer sums and eta-quotient recurrences of the
+character models and both sides of every identity, `Fraction` evaluation at
+every candidate checks the integer rational-root search of the level solver,
+a `Fraction` polynomial product checks its integer level polynomial, and the
+balance criterion evaluated at the ambient level, with every factor's
+Casimir and dual Coxeter number rescaled by its embedding index, checks the
+library's evaluation at the factor levels and its criticality flags.  They
+are deliberately slow and simple.
 """
 
 from __future__ import annotations
@@ -25,12 +26,22 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Dict, List, Sequence, Tuple
+from operator import add
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from lieconf.conformal import APReport, LevelFlags
-from lieconf.liealg import SimpleAlgebra, build_algebra
+from lieconf.liealg import AlgebraType, LieError, SimpleAlgebra, build_algebra
 from lieconf.qseries import CHARACTER_MODELS, IDENTITY_NAMES, PuiseuxSeries, SeriesError
-from lieconf.reps import NotACharacter, casimir, freudenthal_weights, split_coords, weyl_dim
+from lieconf.reps import (
+    NotACharacter,
+    casimir,
+    decompose_weight_system,
+    freudenthal_weights,
+    pair_weights,
+    product_weight_system,
+    split_coords,
+    weyl_dim,
+)
 
 Coords = Tuple[int, ...]
 
@@ -320,6 +331,80 @@ def fraction_decompose(
             else:
                 remaining.pop(w, None)
     return comps
+
+
+# ---------------------------------------------------------------------------
+# adjoint branchings on coordinate-tuple weight dicts
+
+
+def _dual_system(ws: Dict[Coords, int]) -> Dict[Coords, int]:
+    return {tuple(-x for x in w): m for w, m in ws.items()}
+
+
+def _convolve(a: Dict[Coords, int], b: Dict[Coords, int]) -> Dict[Coords, int]:
+    out: Dict[Coords, int] = {}
+    for w1, m1 in a.items():
+        for w2, m2 in b.items():
+            key = tuple(map(add, w1, w2))
+            out[key] = out.get(key, 0) + m1 * m2
+    return {k: v for k, v in out.items() if v}
+
+
+def tuple_character(
+    algs: Sequence[SimpleAlgebra],
+    components: Iterable[Tuple[Tuple[Coords, ...], int]],
+) -> Dict[Coords, int]:
+    """Weight multiset of a sum of product modules, given as (component, multiplicity) pairs."""
+    char: Dict[Coords, int] = {}
+    for comp, mult in components:
+        for w, m in product_weight_system(algs, comp).items():
+            char[w] = char.get(w, 0) + mult * m
+    return char
+
+
+def tuple_adjoint_weights(
+    algs: Sequence[SimpleAlgebra],
+    ambient: AlgebraType,
+    module_components: Sequence[Tuple[Coords, ...]],
+) -> Dict[Coords, int]:
+    """Weight multiset of the ambient adjoint restricted to the subalgebra,
+    keyed by coordinate tuples: V (x) V* minus a trivial summand for sl (A),
+    the symmetric square for sp (C), the exterior square for so (B, D)."""
+    v_ws = tuple_character(algs, ((comp, 1) for comp in module_components))
+    if ambient.family == "A":
+        adj_ws = _convolve(v_ws, _dual_system(v_ws))
+        zero = tuple(0 for _ in next(iter(adj_ws)))
+        adj_ws[zero] -= 1
+        if not adj_ws[zero]:
+            del adj_ws[zero]
+        return adj_ws
+    return pair_weights(v_ws, "sym" if ambient.family == "C" else "alt")
+
+
+def tuple_verify_adjoint_branching(
+    algs: Sequence[SimpleAlgebra],
+    ambient: AlgebraType,
+    module_components: Sequence[Tuple[Coords, ...]],
+    p_components: Dict[Tuple[Coords, ...], int],
+) -> bool:
+    """`lieconf.embed._verify_adjoint_branching` on coordinate tuples, with no
+    dimension limit: the restricted adjoint must equal the summed characters
+    of each adjoint of k once and p with its multiplicities.  Returns True;
+    raises the library's `LieError` text on a mismatch."""
+    adj_ws = tuple_adjoint_weights(algs, ambient, module_components)
+    expected: Dict[Tuple[Coords, ...], int] = {}
+    for slot, alg in enumerate(algs):
+        comp = tuple(alg.theta if j == slot else (0,) * a.rank for j, a in enumerate(algs))
+        expected[comp] = expected.get(comp, 0) + 1
+    for comp, mult in p_components.items():
+        expected[comp] = expected.get(comp, 0) + mult
+    if tuple_character(algs, expected.items()) != adj_ws:
+        derived = decompose_weight_system(algs, adj_ws)
+        raise LieError(
+            "stated branching disagrees with the recomputed decomposition: "
+            f"derived {derived.components}, stated {expected}"
+        )
+    return True
 
 
 # ---------------------------------------------------------------------------

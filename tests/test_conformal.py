@@ -518,6 +518,20 @@ class TestGlobalReport:
         b = json.dumps(global_report(), sort_keys=True)
         assert a == b
 
+    def test_reads_the_shipped_catalog_once(self, monkeypatch):
+        from lieconf import conformal, embed
+
+        reads = []
+
+        def counting(*args):
+            reads.append(args)
+            return load_catalog(*args)
+
+        monkeypatch.setattr(embed, "load_catalog", counting)
+        monkeypatch.setattr(conformal, "load_catalog", counting)
+        assert len(global_report()) == 114
+        assert reads == [()]
+
     def test_row_shape(self):
         row = global_report()[0]
         assert set(row) == {"label", "ambient", "levels", "ap", "status"}

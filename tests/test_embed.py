@@ -2,14 +2,16 @@
 shipped case catalog, and label resolution."""
 
 import json
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lieconf.liealg import AlgebraType, LieError, build_algebra
 from lieconf import embed
-from lieconf.reps import NotACharacter, freudenthal_weights
+from lieconf.reps import NotACharacter, freudenthal_weights, irreps_of_dim, product_dim, weyl_dim
 from lieconf.embed import (
     DUAL_PAIR_FAMILIES,
     SubalgebraSpec,
@@ -20,11 +22,55 @@ from lieconf.embed import (
     load_catalog,
     resolve_case,
 )
+from oracles import tuple_verify_adjoint_branching
 
 
 def case_dims_close(case):
     case.check_dimensions()
     return True
+
+
+def grid_cells(family):
+    """(n, m) of every cell of ``family`` with 2 <= n, m <= 6 that is a valid pair."""
+    n_lo = 3 if family in ("soso", "OO") else 2
+    m_lo = 3 if family in ("soso", "OO", "spso") else 2
+    return [(n, m) for n in range(n_lo, 7) for m in range(m_lo, 7)]
+
+
+def verify_arguments(family, n, m):
+    """The arguments that dual_pair_branching(family, n, m) passes to the
+    branching check: algebras, ambient type, module components of V, p."""
+    calls = []
+    with mock.patch.object(embed, "_verify_adjoint_branching", lambda *args: calls.append(args)):
+        dual_pair_branching(family, n, m)
+    (args,) = calls
+    return args
+
+
+def swap_mutant(algs, p_components):
+    """The stated p with one component swapped for another of the same
+    dimension.  The first component that allows it changes one factor's
+    weight for another of that dimension, or else becomes an irreducible of a
+    single factor, trivial on the others; failing both, the first component
+    becomes that many trivial components."""
+    trivial = tuple((0,) * a.rank for a in algs)
+
+    def swaps(comp):
+        for slot, (alg, lam) in enumerate(zip(algs, comp)):
+            for mu in irreps_of_dim(alg, weyl_dim(alg, lam)):
+                yield comp[:slot] + (mu,) + comp[slot + 1:], 1
+        for slot, alg in enumerate(algs):
+            for mu in irreps_of_dim(alg, product_dim(algs, comp)):
+                yield trivial[:slot] + (mu,) + trivial[slot + 1:], 1
+        yield trivial, product_dim(algs, comp)
+
+    for comp in p_components:
+        for swapped, mult in swaps(comp):
+            if swapped != comp:
+                mutant = Counter(p_components)
+                mutant[comp] -= 1
+                mutant[swapped] += mult
+                return dict(+mutant)
 
 
 class TestDualPairConstruction:
@@ -177,6 +223,12 @@ BAD_CATALOG_FIELDS = [
     ("level", {"level": -2}, "level must be a JSON string, got -2"),
     ("factor index 0", {"factors": [{"type": "G2", "index": "0"}]},
      "bad factor: embedding index must be positive, got 0 for G2"),
+    ("source", {"source": 3}, "source must be a JSON string, got 3"),
+    ("unknown field", {"sorce": "x"}, "unknown field 'sorce'"),
+    ("unknown factor field", {"factors": [{"type": "G2", "index": "1", "mult": 1}]},
+     "unknown factor field 'mult'"),
+    ("unknown p component field", {"p": [{"weights": [[1, 0]], "multiplicity": 1}]},
+     "unknown p component field 'multiplicity'"),
 ]
 BAD_CATALOG_IDS = [name for name, _fields, _message in BAD_CATALOG_FIELDS]
 
@@ -195,6 +247,15 @@ class TestCatalog:
         for case in load_catalog():
             assert case.level is not None
             assert case.label
+        with open(embed._SHIPPED_CATALOG, encoding="utf-8") as handle:
+            document = json.load(handle)
+        assert len(document) == 15
+        for entry in document:
+            assert isinstance(entry["source"], str) and entry["source"]
+
+    def test_source_is_an_optional_string(self):
+        assert "toy-G2-in-B3" in load_catalog([toy_entry(source="Slansky, table 16")])
+        assert "toy-G2-in-B3" in load_catalog([toy_entry()])
 
     def test_known_labels_present(self):
         catalog = load_catalog()
@@ -365,6 +426,47 @@ class TestVerifyAdjointBranching:
         assert str(info.value) == message
 
     def test_non_character_multiset_is_rejected(self, monkeypatch):
-        monkeypatch.setattr(embed, "_adjoint_weights", lambda *args: {(1, 0): 1, (0, 0): 1})
+        # The restricted adjoint {(1, 0): 1, (0, 0): 1}: under any radix, the
+        # weight (1, 0) packs to 1 and (0, 0) to 0.
+        monkeypatch.setattr(embed, "_adjoint_packed", lambda v, family: Counter({1: 1, 0: 1}))
         with pytest.raises(NotACharacter):
             embed._verify_adjoint_branching((self.A2,), self.A2.type, [((1, 0),)], {((1, 0),): 1})
+
+    @pytest.mark.parametrize("family", DUAL_PAIR_FAMILIES)
+    def test_packed_check_matches_tuple_oracle_on_grid(self, family, monkeypatch):
+        # Every cell with 2 <= n, m <= 6, those above the dimension limit
+        # included, as stated and with one same-dimension swap in p: the
+        # packed check and the coordinate-tuple oracle accept the stated
+        # branching and reject the mutant with the same error.
+        def verdict(check, *args):
+            try:
+                return check(*args)
+            except LieError as exc:
+                return type(exc).__name__, str(exc)
+
+        monkeypatch.setattr(embed, "VERIFY_DIM_LIMIT", 10**6)
+        for n, m in grid_cells(family):
+            algs, ambient, module, p = verify_arguments(family, n, m)
+            assert verdict(embed._verify_adjoint_branching, algs, ambient, module, p) is True
+            assert verdict(tuple_verify_adjoint_branching, algs, ambient, module, p) is True
+            mutant = swap_mutant(algs, p)
+            assert sum(product_dim(algs, c) * k for c, k in mutant.items()) == sum(
+                product_dim(algs, c) * k for c, k in p.items()
+            )
+            packed = verdict(embed._verify_adjoint_branching, algs, ambient, module, mutant)
+            oracle = verdict(tuple_verify_adjoint_branching, algs, ambient, module, mutant)
+            assert packed == oracle
+            assert packed[0] == "LieError", (family, n, m, packed)
+
+    def test_grid_cells_above_the_limit(self):
+        # The cells whose stated branchings only the grid test above checks.
+        above = []
+        for family in DUAL_PAIR_FAMILIES:
+            for n, m in grid_cells(family):
+                algs, _ambient, module, _p = verify_arguments(family, n, m)
+                if sum(product_dim(algs, comp) for comp in module) > embed.VERIFY_DIM_LIMIT:
+                    above.append(f"{family}:{n},{m}")
+        assert above == [
+            "spsp:3,6", "spsp:4,5", "spsp:4,6", "spsp:5,4", "spsp:5,5", "spsp:5,6",
+            "spsp:6,3", "spsp:6,4", "spsp:6,5", "spsp:6,6", "spso:6,6",
+        ]

@@ -21,6 +21,7 @@ from lieconf.reps import (
     freudenthal_weights,
     irreps_of_dim,
     pair_weights,
+    product_dim,
     product_weight_system,
     square_decompose,
     tensor_decompose,
@@ -36,7 +37,9 @@ from oracles import (
     fraction_weyl_data,
     fraction_weyl_dim,
     peel_tensor,
+    tuple_adjoint_weights,
 )
+from test_embed import grid_cells, verify_arguments
 
 
 class TestWeylDimension:
@@ -242,38 +245,30 @@ class TestFractionOracle:
         assert dict(_weight_system(alg, lam)) == fraction_weight_system(alg, lam)
 
     @pytest.mark.parametrize("family", DUAL_PAIR_FAMILIES)
-    def test_peel_matches_fraction_peel_on_dual_pair_grid(self, family, monkeypatch):
-        # Every restricted adjoint multiset the grid builds is peeled by both
-        # decomposers, and both must return the stated k (+) p.
-        adjoint_weights = embed._adjoint_weights
-        seen = []
-
-        def recording(algs, *args):
-            ws = adjoint_weights(algs, *args)
-            seen.append((tuple(algs), ws))
-            return ws
-
-        monkeypatch.setattr(embed, "_adjoint_weights", recording)
-        n_lo = 3 if family in ("soso", "OO") else 2
-        m_lo = 3 if family in ("soso", "OO", "spso") else 2
+    def test_peel_matches_fraction_peel_on_dual_pair_grid(self, family):
+        # The restricted adjoint multiset of every grid cell within the
+        # verification limit, rebuilt by the coordinate-tuple oracle, is
+        # peeled by both decomposers, and both must return the stated k (+) p.
         checked = 0
-        for n in range(n_lo, 7):
-            for m in range(m_lo, 7):
-                seen.clear()
-                case = dual_pair_branching(family, n, m)
-                assert len(seen) <= 1
-                algs = case.sub.algebras
-                stated = dict(case.p_components.components)
-                for slot, alg in enumerate(algs):
-                    comp = tuple(
-                        alg.theta if j == slot else (0,) * a.rank for j, a in enumerate(algs)
-                    )
-                    stated[comp] = stated.get(comp, 0) + 1
-                for seen_algs, ws in seen:
-                    assert seen_algs == algs
-                    comps = decompose_weight_system(algs, ws).components
-                    assert comps == fraction_decompose(algs, ws) == stated
-                    checked += 1
+        for n, m in grid_cells(family):
+            check_algs, ambient, module, _p = verify_arguments(family, n, m)
+            seen = []
+            if sum(product_dim(check_algs, comp) for comp in module) <= embed.VERIFY_DIM_LIMIT:
+                seen.append((check_algs, tuple_adjoint_weights(check_algs, ambient, module)))
+            case = dual_pair_branching(family, n, m)
+            assert len(seen) <= 1
+            algs = case.sub.algebras
+            stated = dict(case.p_components.components)
+            for slot, alg in enumerate(algs):
+                comp = tuple(
+                    alg.theta if j == slot else (0,) * a.rank for j, a in enumerate(algs)
+                )
+                stated[comp] = stated.get(comp, 0) + 1
+            for seen_algs, ws in seen:
+                assert seen_algs == algs
+                comps = decompose_weight_system(algs, ws).components
+                assert comps == fraction_decompose(algs, ws) == stated
+                checked += 1
         assert checked
 
     def test_cached_weight_system_is_read_only(self):
