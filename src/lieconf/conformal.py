@@ -444,17 +444,18 @@ def _search_rows(max_rank: int) -> List[SimpleAlgebra]:
     return rows
 
 
-def search_so_irreducible(max_rank: int = 12) -> List[IrreducibleFinding]:
+def search_so_irreducible() -> List[IrreducibleFinding]:
     """Search for k with an irreducible orthogonal complement p = V.
 
-    For each candidate type with a small-index root-lattice weight mu, the
-    Casimir of mu must equal 2 d h (v-4) / (d (v-4) + v (v-1)) with d = dim k,
+    The candidates are B_n and C_n of rank at most 12, F4 and G2.  For each
+    candidate with a small-index root-lattice weight mu, the Casimir of mu
+    must equal 2 d h (v-4) / (d (v-4) + v (v-1)) with d = dim k,
     h the dual Coxeter number, and v = dim V; so(v) must split as k plus p
     copies of L(mu); and k must actually possess an irreducible of dimension
     v.  Survivors are returned with their v-dimensional highest weight.
     """
     findings: List[IrreducibleFinding] = []
-    for alg in _search_rows(max_rank):
+    for alg in _search_rows(12):
         mu = _table1_weight(alg)
         if mu is None:
             continue

@@ -8,8 +8,9 @@ three sources: the classical dual-pair constructions built in code
 a JSON catalog of exceptional cases shipped with the package
 (:func:`load_catalog`).
 
-Wherever the restriction of a small faithful ambient module is known, the
-stated branching is checked independently: the adjoint weight multiset is
+Every built-in case (the dual-pair families, spsl:n, G2-in-B3 and B3-in-D4)
+states the restriction of a faithful ambient module V, and its branching is
+checked independently when it is built: the adjoint weight multiset is
 rebuilt (exterior/symmetric squares or V (x) V* for the adjoint) and must
 equal the summed characters of k (+) p, which holds exactly when the stated
 components are the decomposition, irreducible characters being linearly
@@ -19,6 +20,9 @@ The radix R is odd and exceeds twice every coordinate of every packed
 weight, so the balanced base-R digits give w back: distinct weights get
 distinct ints, and the packed multisets are equal exactly when the weight
 multisets are.  The peel-off decomposition runs only to explain a mismatch.
+A case whose adjoint, or any single component of V or of k (+) p, has
+dimension above MAX_MODULE_DIM is refused with SizeError before any weight
+of it is built.
 Every case is additionally required to satisfy the dimension identity
 dim(ambient) = sum dim(factors) + dim(p).
 """
@@ -68,10 +72,6 @@ __all__ = [
     "builtin_labels",
     "DUAL_PAIR_FAMILIES",
 ]
-
-# Built-in cases whose faithful module V has dimension at most this have
-# their stated branching checked by character equality on construction.
-VERIFY_DIM_LIMIT = 64
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +285,7 @@ def _verify_adjoint_branching(
     ambient: AlgebraType,
     module_components: Sequence[Tuple[Coords, ...]],
     p_components: Dict[Tuple[Coords, ...], int],
-) -> bool:
+) -> None:
     """Check a stated adjoint branching by character equality.
 
     The adjoint restricted through the faithful module V must have the summed
@@ -293,12 +293,11 @@ def _verify_adjoint_branching(
     sides are packed with the radix R = 2 max(2 |V coordinate|, |k (+) p
     coordinate|) + 1, which exceeds twice every coordinate of a sum or
     difference of two V weights and of a k (+) p weight.  The peel names the
-    derived components on a mismatch.  Returns False when V is too large to
-    check; raises on a mismatch.
+    derived components on a mismatch.  Raises `SizeError` when the adjoint
+    or a module to be built exceeds `MAX_MODULE_DIM`, and `LieError` on a
+    mismatch.
     """
-    vdim = sum(product_dim(algs, comp) for comp in module_components)
-    if vdim > VERIFY_DIM_LIMIT:
-        return False
+    _check_dim("adjoint dimension", build_algebra(ambient).dim)
     expected = Counter(
         tuple(alg.theta if j == slot else zero_weight(a) for j, a in enumerate(algs))
         for slot, alg in enumerate(algs)
@@ -325,7 +324,6 @@ def _verify_adjoint_branching(
             "stated branching disagrees with the recomputed decomposition: "
             f"derived {derived.components}, stated {dict(expected)}"
         )
-    return True
 
 
 def _build_case(

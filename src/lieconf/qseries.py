@@ -13,7 +13,7 @@ and `euler_phi` wrap their lists once, through `_from_grid`.  A series maps
 fractional exponents to exact rational coefficients below an explicit
 truncation order; at or above it everything is unknown.  Its arithmetic
 stays here only because the `Fraction` oracle of the tests and the bench
-tracer use it, until the bench stops binding those names (ROADMAP item 1).
+tracer use it, until the tracer stops binding those names (ROADMAP item 2).
 """
 
 from __future__ import annotations

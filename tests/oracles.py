@@ -386,11 +386,11 @@ def tuple_verify_adjoint_branching(
     ambient: AlgebraType,
     module_components: Sequence[Tuple[Coords, ...]],
     p_components: Dict[Tuple[Coords, ...], int],
-) -> bool:
+) -> None:
     """`lieconf.embed._verify_adjoint_branching` on coordinate tuples, with no
-    dimension limit: the restricted adjoint must equal the summed characters
-    of each adjoint of k once and p with its multiplicities.  Returns True;
-    raises the library's `LieError` text on a mismatch."""
+    size cap: the restricted adjoint must equal the summed characters of
+    each adjoint of k once and p with its multiplicities.  Raises the
+    library's `LieError` text on a mismatch."""
     adj_ws = tuple_adjoint_weights(algs, ambient, module_components)
     expected: Dict[Tuple[Coords, ...], int] = {}
     for slot, alg in enumerate(algs):
@@ -404,7 +404,6 @@ def tuple_verify_adjoint_branching(
             "stated branching disagrees with the recomputed decomposition: "
             f"derived {derived.components}, stated {expected}"
         )
-    return True
 
 
 # ---------------------------------------------------------------------------

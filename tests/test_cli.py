@@ -298,6 +298,9 @@ class TestClassify:
         ),
         (["rep", "weights", "A2", "400,400"], "MAX_MODULE_DIM"),
         (["rep", "tensor", "A2", "30,30", "30,30"], "MAX_MODULE_DIM"),
+        # so(6400) and so(625): adjoints of 20476800 and 195000
+        (["branch", "dual-pair", "spsp", "40", "40"], "MAX_MODULE_DIM"),
+        (["branch", "dual-pair", "soso", "25", "25"], "MAX_MODULE_DIM"),
     ],
 )
 def test_size_above_a_cap_fails_at_once(argv, cap):

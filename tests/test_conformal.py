@@ -242,10 +242,14 @@ class TestLevelPolynomial:
             )
 
     def test_cap_message_names_the_bits(self):
-        case = resolve_case("spsp:40,40")
-        assert max(abs(c) for c in fraction_level_polynomial(_entries(case))).bit_length() == 25
+        # The factors of spsp:40,40, C40^40 x C40^40 in so(6400); that case
+        # itself is too large to build.
+        ambient, c40 = AlgebraType.parse("D3200"), AlgebraType.parse("C40")
+        sub = SubalgebraSpec(((c40, Fraction(40)), (c40, Fraction(40))))
+        entries = _charge_entries(build_algebra(ambient), sub, None)
+        assert max(abs(c) for c in fraction_level_polynomial(entries)).bit_length() == 25
         with pytest.raises(SizeError) as info:
-            levels_of(case)
+            solve_levels(ambient, sub)
         assert str(info.value) == (
             "cleared level polynomial has a coefficient of 25 bits; "
             "it exceeds the cap MAX_LEVEL_COEFF = 2**24"

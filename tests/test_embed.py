@@ -388,10 +388,10 @@ class TestVerifyAdjointBranching:
 
     def test_true_branchings_verify(self):
         # slsl:2,3 and spsp:2,2, as the dual-pair constructions state them
-        assert embed._verify_adjoint_branching(
+        embed._verify_adjoint_branching(
             (self.A1, self.A2), self.A5, [((1,), (1, 0))], {((2,), (1, 1)): 1}
         )
-        assert embed._verify_adjoint_branching(
+        embed._verify_adjoint_branching(
             (self.C2, self.C2), self.D8, [((1, 0), (1, 0))],
             {((2, 0), (0, 1)): 1, ((0, 1), (2, 0)): 1},
         )
@@ -433,22 +433,21 @@ class TestVerifyAdjointBranching:
             embed._verify_adjoint_branching((self.A2,), self.A2.type, [((1, 0),)], {((1, 0),): 1})
 
     @pytest.mark.parametrize("family", DUAL_PAIR_FAMILIES)
-    def test_packed_check_matches_tuple_oracle_on_grid(self, family, monkeypatch):
-        # Every cell with 2 <= n, m <= 6, those above the dimension limit
-        # included, as stated and with one same-dimension swap in p: the
-        # packed check and the coordinate-tuple oracle accept the stated
-        # branching and reject the mutant with the same error.
+    def test_packed_check_matches_tuple_oracle_on_grid(self, family):
+        # Every cell with 2 <= n, m <= 6, as stated and with one
+        # same-dimension swap in p: the packed check and the coordinate-tuple
+        # oracle accept the stated branching and reject the mutant with the
+        # same error.
         def verdict(check, *args):
             try:
                 return check(*args)
             except LieError as exc:
                 return type(exc).__name__, str(exc)
 
-        monkeypatch.setattr(embed, "VERIFY_DIM_LIMIT", 10**6)
         for n, m in grid_cells(family):
             algs, ambient, module, p = verify_arguments(family, n, m)
-            assert verdict(embed._verify_adjoint_branching, algs, ambient, module, p) is True
-            assert verdict(tuple_verify_adjoint_branching, algs, ambient, module, p) is True
+            assert verdict(embed._verify_adjoint_branching, algs, ambient, module, p) is None
+            assert verdict(tuple_verify_adjoint_branching, algs, ambient, module, p) is None
             mutant = swap_mutant(algs, p)
             assert sum(product_dim(algs, c) * k for c, k in mutant.items()) == sum(
                 product_dim(algs, c) * k for c, k in p.items()
@@ -458,15 +457,11 @@ class TestVerifyAdjointBranching:
             assert packed == oracle
             assert packed[0] == "LieError", (family, n, m, packed)
 
-    def test_grid_cells_above_the_limit(self):
-        # The cells whose stated branchings only the grid test above checks.
-        above = []
-        for family in DUAL_PAIR_FAMILIES:
-            for n, m in grid_cells(family):
-                algs, _ambient, module, _p = verify_arguments(family, n, m)
-                if sum(product_dim(algs, comp) for comp in module) > embed.VERIFY_DIM_LIMIT:
-                    above.append(f"{family}:{n},{m}")
-        assert above == [
-            "spsp:3,6", "spsp:4,5", "spsp:4,6", "spsp:5,4", "spsp:5,5", "spsp:5,6",
-            "spsp:6,3", "spsp:6,4", "spsp:6,5", "spsp:6,6", "spso:6,6",
-        ]
+    def test_every_grid_cell_is_checked_when_built(self):
+        # Each of the 152 grid cells builds its restricted adjoint once; none
+        # is skipped for its size.
+        with mock.patch.object(embed, "_adjoint_packed", wraps=embed._adjoint_packed) as spy:
+            cells = [
+                dual_pair_branching(f, n, m) for f in DUAL_PAIR_FAMILIES for n, m in grid_cells(f)
+            ]
+        assert len(cells) == spy.call_count == 152
