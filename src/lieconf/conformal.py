@@ -462,21 +462,8 @@ def search_so_irreducible() -> List[IrreducibleFinding]:
         lam2 = casimir(alg, mu)
         d, h = alg.dim, alg.dual_coxeter
         # lam2 v^2 + (lam2 d - lam2 - 2 d h) v + (8 d h - 4 lam2 d) = 0
-        a = lam2
-        b = lam2 * d - lam2 - 2 * d * h
-        c = 8 * d * h - 4 * lam2 * d
-        scale = lcm(a.denominator, b.denominator, c.denominator)
-        ai, bi, ci = int(a * scale), int(b * scale), int(c * scale)
-        disc = bi * bi - 4 * ai * ci
-        root = _square_root_exact(disc)
-        if root is None:
-            continue
-        for vi in ((-bi + root), (-bi - root)):
-            if vi % (2 * ai):
-                continue
-            v = vi // (2 * ai)
-            if v <= 4:
-                continue
+        roots = _rational_roots([8 * d * h - 4 * lam2 * d, lam2 * d - lam2 - 2 * d * h, lam2])
+        for v in (int(r) for r in roots if r.denominator == 1 and r > 4):
             numer = v * (v - 1) // 2 - d
             dim_mu = weyl_dim(alg, mu)
             if numer <= 0 or numer % dim_mu:

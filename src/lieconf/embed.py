@@ -8,6 +8,14 @@ three sources: the classical dual-pair constructions built in code
 a JSON catalog of exceptional cases shipped with the package
 (:func:`load_catalog`).
 
+Every dual pair comes from one table of classical factors and three rules
+for p: adj1 (x) adj2 for sl(V1) x sl(V2), adj1 (x) sq2 + sq1 (x) adj2 for the
+other tensor pairs V = V1 (x) V2 (sq the factor's other square of V less the
+trivial summand), and V1 (x) V2 for the direct sums V = V1 (+) V2.  Every
+built-in case derives its embedding indices from the restriction of V: a
+slot's Dynkin index of V over the constant index of V for the ambient, so
+the ambient's own tables are never built.
+
 Every built-in case (the dual-pair families, spsl:n, G2-in-B3 and B3-in-D4)
 states the restriction of a faithful ambient module V, and its branching is
 checked independently when it is built: the adjoint weight multiset is
@@ -53,6 +61,7 @@ from .reps import (
     Decomposition,
     _check_dim,
     _weight_system,
+    casimir,
     decompose_weight_system,
     dynkin_index,
     product_dim,
@@ -172,52 +181,60 @@ class Catalog:
 
 
 # ---------------------------------------------------------------------------
-# small-rank orthogonal and symplectic factor data
+# classical factors
 #
-# so(3) and so(4) are not members of the B/D families; they enter as sl(2)
-# factors.  The pieces below present, for each so(m), the simple factors the
-# orthogonal algebra contributes, the scale relating an so(m)-level to the
-# level of each listed factor, and the weights of the vector module, the
-# adjoint module, and the traceless symmetric square.
+# A factor sl(V), sp(V) or so(V) of a dual pair enters as one or more simple
+# slots: so(3) is one A1 slot acting on V through its adjoint, so(4) two A1
+# slots with V = C^2 (x) C^2, and sp(2) one A1 slot.  Each factor lists its
+# slot types, the weights of V on them, and its other square of V less the
+# trivial summand: S^2 V for so, Lambda^2 V for sp (nothing for sp(2)),
+# nothing for sl.  Its adjoint has one component per slot, theta there and
+# trivial elsewhere.
+
+_A1 = AlgebraType("A", 1)
 
 
-class _SoPieces(NamedTuple):
+class _Factor(NamedTuple):
     types: Tuple[AlgebraType, ...]
-    scales: Tuple[int, ...]
     vector: Tuple[Coords, ...]
-    adjoint: Tuple[Tuple[Coords, ...], ...]
-    sym2: Tuple[Coords, ...]
+    square: Tuple[Tuple[Coords, ...], ...]
+
+    @property
+    def zeros(self) -> Tuple[Coords, ...]:
+        return tuple((0,) * t.rank for t in self.types)
+
+    @property
+    def adjoint(self) -> List[Tuple[Coords, ...]]:
+        z = self.zeros
+        return [z[:s] + (build_algebra(t).theta,) + z[s + 1:] for s, t in enumerate(self.types)]
 
 
-def _so_pieces(m: int) -> _SoPieces:
-    if m < 3:
-        raise LieError(f"an orthogonal factor so({m}) is not semisimple")
-    a1 = AlgebraType("A", 1)
-    if m == 3:
-        return _SoPieces((a1,), (2,), ((2,),), (((2,),),), ((4,),))
-    if m == 4:
-        return _SoPieces(
-            (a1, a1), (1, 1), ((1,), (1,)),
-            (((2,), (0,)), ((0,), (2,))),
-            ((2,), (2,)),
-        )
-    typ = AlgebraType("B", (m - 1) // 2) if m % 2 else AlgebraType("D", m // 2)
-    alg = build_algebra(typ)
-    e1 = fundamental(alg, 1)
-    return _SoPieces((typ,), (1,), (e1,), ((alg.theta,),), (tuple(2 * x for x in e1),))
-
-
-def _sp_type(n: int) -> AlgebraType:
-    if n < 1:
-        raise LieError(f"a symplectic factor sp({2 * n}) needs n >= 1")
-    return AlgebraType("A", 1) if n == 1 else AlgebraType("C", n)
-
-
-def _so_ambient(size: int) -> AlgebraType:
-    """Type of a simple so(size) ambient; so(6) is realized as D3."""
-    if size < 5:
-        raise LieError(f"ambient so({size}) is not a simple B/D type")
+def _classical_type(group: str, size: int) -> AlgebraType:
+    """sl(size), sp(size) or so(size) as a simple type; sp(2) is A1, so(6) is D3."""
+    if group == "sl":
+        return AlgebraType("A", size - 1)
+    if group == "sp":
+        return AlgebraType("C", size // 2) if size > 2 else _A1
     return AlgebraType("B", (size - 1) // 2) if size % 2 else AlgebraType("D", size // 2)
+
+
+def _classical_factor(group: str, size: int) -> _Factor:
+    """The factor sl(size), sp(size) or so(size) acting on V = C^size."""
+    if group == "so" and size < 5:
+        if size < 3:
+            raise LieError(f"an orthogonal factor so({size}) is not semisimple")
+        vector = ((2,),) if size == 3 else ((1,), (1,))
+        types = (_A1,) * len(vector)
+    else:
+        typ = _classical_type(group, size)
+        types, vector = (typ,), (fundamental(build_algebra(typ), 1),)
+    if group == "so":
+        square = (tuple(tuple(2 * x for x in w) for w in vector),)
+    elif group == "sp" and size > 2:
+        square = ((fundamental(build_algebra(types[0]), 2),),)
+    else:
+        square = ()
+    return _Factor(types, vector, square)
 
 
 def defining_weight(alg: SimpleAlgebra) -> Coords:
@@ -326,17 +343,35 @@ def _verify_adjoint_branching(
         )
 
 
+# Dynkin index of the defining module of an sl, so or sp ambient.
+_DEFINING_INDEX = {"A": Fraction(1, 2), "B": Fraction(1), "C": Fraction(1, 2), "D": Fraction(1)}
+
+
 def _build_case(
     ambient: AlgebraType,
-    factors: Sequence[Tuple[AlgebraType, Fraction]],
+    types: Sequence[AlgebraType],
     p_list: Sequence[Tuple[Coords, ...]],
     label: str,
     module_components: Sequence[Tuple[Coords, ...]],
     level: Optional[Fraction] = None,
     slot_groups: Optional[Tuple[Tuple[int, ...], ...]] = None,
 ) -> BranchingCase:
-    sub = SubalgebraSpec(tuple((t, Fraction(j)) for t, j in factors), label)
-    algs = sub.algebras
+    """A case from the restriction of the ambient's defining module V.
+
+    Each slot's embedding index is its Dynkin index of V, each component of V
+    counted with the dimension of its other slots, over the index of V for
+    the ambient, a constant: the ambient's own tables are never built.  The
+    index of L(lam) is dim L(lam) C2(lam) / (2 dim k), so a slot's share of
+    a component is the component's dimension times C2 / (2 dim k).
+    """
+    algs = tuple(map(build_algebra, types))
+    dims = [product_dim(algs, comp) for comp in module_components]
+    indices = [
+        sum(d * casimir(alg, comp[i]) for d, comp in zip(dims, module_components))
+        / (2 * alg.dim * _DEFINING_INDEX[ambient.family])
+        for i, alg in enumerate(algs)
+    ]
+    sub = SubalgebraSpec(tuple(zip(types, indices)), label)
     components: Dict[Tuple[Coords, ...], int] = {}
     for comp in p_list:
         components[comp] = components.get(comp, 0) + 1
@@ -350,20 +385,24 @@ def _build_case(
 # ---------------------------------------------------------------------------
 # dual-pair constructions
 
-def _block_groups(*sizes: int) -> Tuple[Tuple[int, ...], ...]:
-    """Consecutive slot blocks of the given sizes, as a slot-group partition."""
-    groups = []
-    start = 0
-    for size in sizes:
-        groups.append(tuple(range(start, start + size)))
-        start += size
-    return tuple(groups)
+# family: (group of V1 = C^n, group of V2 = C^m, V = V1 (x) V2 or V1 (+) V2);
+# sp(2n) is sp(C^2n).  BB is OO on so(2n+1) and so(2m+1).
+_FAMILY_RULES = {
+    "slsl": ("sl", "sl", "tensor"),
+    "spsp": ("sp", "sp", "tensor"),
+    "soso": ("so", "so", "tensor"),
+    "spso": ("sp", "so", "tensor"),
+    "CC": ("sp", "sp", "sum"),
+    "OO": ("so", "so", "sum"),
+}
 
 
 def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
     """Adjoint branching for a classical dual pair or direct-sum pair.
 
-    Tensor-product pairs (V = V1 (x) V2):
+    p follows the three rules of the module docstring.  The ambient of a
+    tensor-product pair (V = V1 (x) V2) is sl, so or sp as V carries no form,
+    a symmetric or an alternating one:
       slsl: sl(n) x sl(m) in sl(nm), n, m >= 2
       spsp: sp(2n) x sp(2m) in so(4nm)
       soso: so(n) x so(m) in so(nm), n, m >= 3
@@ -378,101 +417,34 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
     if n < 1 or m < 1:
         raise LieError("dual-pair parameters must be positive")
     label = f"{family}:{n},{m}"
-
-    if family == "slsl":
-        if n < 2 or m < 2:
-            raise LieError("slsl needs n, m >= 2")
-        t1, t2 = AlgebraType("A", n - 1), AlgebraType("A", m - 1)
-        a1, a2 = build_algebra(t1), build_algebra(t2)
-        return _build_case(
-            AlgebraType("A", n * m - 1),
-            [(t1, Fraction(m)), (t2, Fraction(n))],
-            [(a1.theta, a2.theta)],
-            label,
-            [(defining_weight(a1), defining_weight(a2))],
-        )
-
-    if family == "spsp":
-        if 2 * n * m < 3:
-            raise LieError("spsp needs so(4nm) of rank >= 3")
-        t1, t2 = _sp_type(n), _sp_type(m)
-        a1, a2 = build_algebra(t1), build_algebra(t2)
-        p_list = []
-        if m >= 2:
-            p_list.append((a1.theta, fundamental(a2, 2)))
-        if n >= 2:
-            p_list.append((fundamental(a1, 2), a2.theta))
-        return _build_case(
-            _so_ambient(4 * n * m),
-            [(t1, Fraction(m)), (t2, Fraction(n))],
-            p_list,
-            label,
-            [(defining_weight(a1), defining_weight(a2))],
-        )
-
-    if family == "soso":
-        p1, p2 = _so_pieces(n), _so_pieces(m)
-        factors = [(t, Fraction(m * s)) for t, s in zip(p1.types, p1.scales)]
-        factors += [(t, Fraction(n * s)) for t, s in zip(p2.types, p2.scales)]
-        p_list = [adj + p2.sym2 for adj in p1.adjoint]
-        p_list += [p1.sym2 + adj for adj in p2.adjoint]
-        return _build_case(
-            _so_ambient(n * m),
-            factors,
-            p_list,
-            label,
-            [p1.vector + p2.vector],
-            slot_groups=_block_groups(len(p1.types), len(p2.types)),
-        )
-
-    if family == "spso":
-        t1 = _sp_type(n)
-        a1 = build_algebra(t1)
-        p2 = _so_pieces(m)
-        factors = [(t1, Fraction(m))]
-        factors += [(t, Fraction(4 * n * s)) for t, s in zip(p2.types, p2.scales)]
-        p_list = [(a1.theta,) + p2.sym2]
-        if n >= 2:
-            p_list += [(fundamental(a1, 2),) + adj for adj in p2.adjoint]
-        return _build_case(
-            AlgebraType("C", n * m),
-            factors,
-            p_list,
-            label,
-            [(defining_weight(a1),) + p2.vector],
-            slot_groups=_block_groups(1, len(p2.types)),
-        )
-
     if family == "BB":
         case = dual_pair_branching("OO", 2 * n + 1, 2 * m + 1)
         return case._replace(sub=SubalgebraSpec(case.sub.factors, label))
+    if family == "slsl" and (n < 2 or m < 2):
+        raise LieError("slsl needs n, m >= 2")
+    if family == "spsp" and n * m < 2:
+        raise LieError("spsp needs so(4nm) of rank >= 3")
 
-    if family == "CC":
-        t1, t2 = _sp_type(n), _sp_type(m)
-        a1, a2 = build_algebra(t1), build_algebra(t2)
-        z1, z2 = zero_weight(a1), zero_weight(a2)
-        return _build_case(
-            AlgebraType("C", n + m),
-            [(t1, Fraction(1)), (t2, Fraction(1))],
-            [(defining_weight(a1), defining_weight(a2))],
-            label,
-            [(defining_weight(a1), z2), (z1, defining_weight(a2))],
-        )
-
-    # OO
-    p1, p2 = _so_pieces(n), _so_pieces(m)
-    factors = [(t, Fraction(s)) for t, s in zip(p1.types, p1.scales)]
-    factors += [(t, Fraction(s)) for t, s in zip(p2.types, p2.scales)]
-    zeros1 = tuple((0,) * t.rank for t in p1.types)
-    zeros2 = tuple((0,) * t.rank for t in p2.types)
-    return _build_case(
-        _so_ambient(n + m),
-        factors,
-        [p1.vector + p2.vector],
-        label,
-        [p1.vector + zeros2, zeros1 + p2.vector],
-        slot_groups=_block_groups(len(p1.types), len(p2.types)),
-    )
+    group1, group2, kind = _FAMILY_RULES[family]
+    size1 = 2 * n if group1 == "sp" else n
+    size2 = 2 * m if group2 == "sp" else m
+    f1, f2 = _classical_factor(group1, size1), _classical_factor(group2, size2)
+    if kind == "sum":
+        ambient = _classical_type(group1, size1 + size2)
+        p_list = [f1.vector + f2.vector]
+        module = [f1.vector + f2.zeros, f1.zeros + f2.vector]
+    else:
+        group = "sl" if group1 == "sl" else "so" if group1 == group2 else "sp"
+        ambient = _classical_type(group, size1 * size2)
+        if group == "sl":
+            p_list = [a1 + a2 for a1 in f1.adjoint for a2 in f2.adjoint]
+        else:
+            p_list = [a + s for a in f1.adjoint for s in f2.square]
+            p_list += [s + a for s in f1.square for a in f2.adjoint]
+        module = [f1.vector + f2.vector]
+    k1, k2 = len(f1.types), len(f2.types)
+    groups = (tuple(range(k1)), tuple(range(k1, k1 + k2)))
+    return _build_case(ambient, f1.types + f2.types, p_list, label, module, slot_groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -480,16 +452,12 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
 
 
 def _spsl_case(n: int) -> BranchingCase:
+    """sp(2n) in sl(2n): p is the other square of sp(2n), Lambda^2 V less 1."""
     if n < 2:
         raise LieError("spsl needs n >= 2")
-    t = AlgebraType("C", n)
-    alg = build_algebra(t)
+    factor = _classical_factor("sp", 2 * n)
     return _build_case(
-        AlgebraType("A", 2 * n - 1),
-        [(t, 1)],
-        [(fundamental(alg, 2),)],
-        f"spsl:{n}",
-        [(defining_weight(alg),)],
+        AlgebraType("A", 2 * n - 1), factor.types, factor.square, f"spsl:{n}", [factor.vector],
         level=Fraction(-1),
     )
 
@@ -504,7 +472,7 @@ _FIXED_CASES = {
 def _fixed_case(label: str) -> BranchingCase:
     ambient, factor, p, v, level = _FIXED_CASES[label]
     return _build_case(
-        AlgebraType.parse(ambient), [(AlgebraType.parse(factor), 1)], [(p,)], label, [(v,)],
+        AlgebraType.parse(ambient), [AlgebraType.parse(factor)], [(p,)], label, [(v,)],
         level=Fraction(level),
     )
 
@@ -669,7 +637,7 @@ def load_catalog(source=None) -> Catalog:
 # ---------------------------------------------------------------------------
 # label resolution for the command line and the global report
 
-_FAMILY_LABEL = re.compile(r"^(slsl|spsp|soso|spso|BB|CC|OO):(\d+),(\d+)$")
+_FAMILY_LABEL = re.compile(rf"^({'|'.join(DUAL_PAIR_FAMILIES)}):(\d+),(\d+)$")
 _SPSL_LABEL = re.compile(r"^spsl:(\d+)$")
 
 

@@ -30,15 +30,17 @@ from lieconf.conformal import (
     table1_scan,
     verify_case,
 )
+from lieconf import qseries
 from lieconf.qseries import PuiseuxSeries, identity_sides, verify_identity
 
 from oracles import check_character, peel_tensor, restricted_balance
 
-TENSOR_FAMILIES = ("slsl", "spsp", "soso", "spso", "BB")
+# The four tensor families and the direct-sum pair BB = so(2n+1) x so(2m+1).
+GRID_FAMILIES = ("slsl", "spsp", "soso", "spso", "BB")
 
 
 def _grid():
-    for family in TENSOR_FAMILIES:
+    for family in GRID_FAMILIES:
         for n in range(2, 7):
             for m in range(2, 7):
                 if family == "soso" and (n < 3 or m < 3):
@@ -166,7 +168,7 @@ def test_criterion_4_sl2_candidates_are_excluded():
     assert a1_exclusion_check(389, Fraction(16, 39)).empty
 
 
-def test_criterion_5_identities_to_order_100():
+def test_criterion_5_identities_to_order_100(monkeypatch):
     for name in ("delta_eta", "eq92", "kw", "thm92"):
         ok, mismatch = verify_identity(name, 100)
         assert ok and mismatch is None, name
@@ -180,6 +182,22 @@ def test_criterion_5_identities_to_order_100():
         lhs, rhs = identity_sides(name, 20)
         bad = rhs + PuiseuxSeries.monomial(exponent, 1, rhs.order_exponent)
         assert lhs.first_mismatch(bad) == exponent, name
+
+    # The same corruption on the path `qseries verify` runs: one coefficient
+    # of the right side's integer grid.
+    grid = qseries._identity_grid
+
+    def corrupted(which, order):
+        lhs, rhs, denom, shift = grid(which, order)
+        k = pokes[which] * denom - shift
+        assert k.denominator == 1 and 0 <= k < len(rhs), which
+        rhs = list(rhs)
+        rhs[int(k)] += 1
+        return lhs, rhs, denom, shift
+
+    monkeypatch.setattr(qseries, "_identity_grid", corrupted)
+    for name, exponent in pokes.items():
+        assert verify_identity(name, 20) == (False, exponent), name
 
 
 def test_criterion_6_randomized_cross_validation():

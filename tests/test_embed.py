@@ -4,13 +4,15 @@ shipped case catalog, and label resolution."""
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lieconf.liealg import AlgebraType, LieError, build_algebra
-from lieconf import embed
+from lieconf import embed, liealg
+from lieconf.conformal import solve_levels
 from lieconf.reps import NotACharacter, freudenthal_weights, irreps_of_dim, product_dim, weyl_dim
 from lieconf.embed import (
     DUAL_PAIR_FAMILIES,
@@ -30,11 +32,20 @@ def case_dims_close(case):
     return True
 
 
-def grid_cells(family):
-    """(n, m) of every cell of ``family`` with 2 <= n, m <= 6 that is a valid pair."""
-    n_lo = 3 if family in ("soso", "OO") else 2
-    m_lo = 3 if family in ("soso", "OO", "spso") else 2
-    return [(n, m) for n in range(n_lo, 7) for m in range(m_lo, 7)]
+# Each family's smallest n and m; spsp:1,1 (sp(2) x sp(2) in so(4)) is not a pair.
+FAMILY_MINIMUM = {
+    "slsl": (2, 2), "spsp": (1, 1), "soso": (3, 3), "spso": (1, 3), "BB": (1, 1), "CC": (1, 1),
+    "OO": (3, 3),
+}
+
+
+def grid_cells(family, top=6):
+    """(n, m) of every valid cell of ``family`` with n, m <= top."""
+    n_lo, m_lo = FAMILY_MINIMUM[family]
+    return [
+        (n, m) for n in range(n_lo, top + 1) for m in range(m_lo, top + 1)
+        if (family, n, m) != ("spsp", 1, 1)
+    ]
 
 
 def verify_arguments(family, n, m):
@@ -99,11 +110,8 @@ class TestDualPairConstruction:
 
     def test_every_family_member_dimension_checks(self):
         for family in DUAL_PAIR_FAMILIES:
-            lo = 3 if family in ("soso", "OO") else (1 if family == "CC" else 2)
-            mlo = 3 if family in ("soso", "spso", "OO") else lo
-            for n in range(lo, 5):
-                for m in range(mlo, 5):
-                    assert case_dims_close(dual_pair_branching(family, n, m))
+            for n, m in grid_cells(family, top=4):
+                assert case_dims_close(dual_pair_branching(family, n, m))
 
     def test_slsl_p_is_adjoint_tensor_adjoint(self):
         case = dual_pair_branching("slsl", 2, 3)
@@ -128,6 +136,45 @@ class TestDualPairConstruction:
             dual_pair_branching("soso", 2, 4)
         with pytest.raises(LieError):
             dual_pair_branching("nope", 2, 2)
+
+    def test_minimum_cells_are_the_first_valid_ones(self):
+        for family, (n, m) in FAMILY_MINIMUM.items():
+            for below in ((n - 1, m), (n, m - 1)):
+                with pytest.raises(LieError):
+                    dual_pair_branching(family, *below)
+        with pytest.raises(LieError, match="spsp needs so"):
+            dual_pair_branching("spsp", 1, 1)
+
+    def test_derived_indices_match_the_ambient_dynkin_index(self):
+        # Every slot of every valid cell with n, m <= 4: the index derived
+        # from V equals the one measured against the ambient's own defining
+        # module, which builds the ambient's tables.
+        slots = 0
+        for family in DUAL_PAIR_FAMILIES:
+            for n, m in grid_cells(family, top=4):
+                case = dual_pair_branching(family, n, m)
+                algs, ambient, module, _p = verify_arguments(family, n, m)
+                for i, alg in enumerate(algs):
+                    restriction = Counter()
+                    for comp in module:
+                        restriction[comp[i]] += product_dim(algs, comp) // weyl_dim(alg, comp[i])
+                    assert case.sub.indices[i] == embedding_index(ambient, alg, restriction), (
+                        family, n, m, i)
+                    slots += 1
+        assert slots == 156
+
+    def test_no_ambient_table_is_built(self, monkeypatch):
+        # A fresh algebra cache: spsp:6,6 and its levels read only the closed
+        # forms of its so(144) ambient, never its roots, form or Weyl data.
+        monkeypatch.setattr(liealg, "_build", lru_cache(maxsize=None)(liealg.SimpleAlgebra))
+        case = dual_pair_branching("spsp", 6, 6)
+        solve_levels(case.ambient, case.sub, case.slot_groups)
+        tables = {
+            name for name, attr in vars(liealg.SimpleAlgebra).items()
+            if isinstance(attr, cached_property)
+        }
+        assert {"_roots", "gram", "cartan"} <= tables
+        assert not tables & set(vars(build_algebra("D72")))
 
     def test_indices_match_family_rules(self):
         case = dual_pair_branching("slsl", 3, 4)
@@ -434,7 +481,7 @@ class TestVerifyAdjointBranching:
 
     @pytest.mark.parametrize("family", DUAL_PAIR_FAMILIES)
     def test_packed_check_matches_tuple_oracle_on_grid(self, family):
-        # Every cell with 2 <= n, m <= 6, as stated and with one
+        # Every valid cell with n, m <= 6, as stated and with one
         # same-dimension swap in p: the packed check and the coordinate-tuple
         # oracle accept the stated branching and reject the mutant with the
         # same error.
@@ -458,10 +505,10 @@ class TestVerifyAdjointBranching:
             assert packed[0] == "LieError", (family, n, m, packed)
 
     def test_every_grid_cell_is_checked_when_built(self):
-        # Each of the 152 grid cells builds its restricted adjoint once; none
+        # Each of the 188 grid cells builds its restricted adjoint once; none
         # is skipped for its size.
         with mock.patch.object(embed, "_adjoint_packed", wraps=embed._adjoint_packed) as spy:
             cells = [
                 dual_pair_branching(f, n, m) for f in DUAL_PAIR_FAMILIES for n, m in grid_cells(f)
             ]
-        assert len(cells) == spy.call_count == 152
+        assert len(cells) == spy.call_count == 188
