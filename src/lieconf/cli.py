@@ -212,7 +212,7 @@ def _cmd_rep_tensor(args) -> Handler:
 
 def _case_payload(case) -> Dict[str, Any]:
     return {
-        "label": case.label or case.sub.describe(),
+        "label": case.label,
         "ambient": str(case.ambient),
         "factors": [
             {"type": str(t), "index": str(j)} for t, j in case.sub.factors
@@ -255,8 +255,7 @@ def _cmd_conformal_solve(args) -> Handler:
 
     if args.case:
         case = _resolve(args)
-        ambient, sub, groups = case.ambient, case.sub, case.slot_groups
-        label = case.label or case.sub.describe()
+        ambient, sub, groups, label = case.ambient, case.sub, case.slot_groups, case.label
     elif args.ambient and args.factors:
         ambient = AlgebraType.parse(args.ambient)
         sub = _parse_factors(args.factors)
@@ -305,8 +304,8 @@ def _cmd_conformal_check(args) -> Handler:
             }
         )
     payload = {
-        "title": f"balance report: {case.label or case.sub.describe()} at level {level}",
-        "case": case.label or case.sub.describe(),
+        "title": f"balance report: {case.label} at level {level}",
+        "case": case.label,
         "level": str(level),
         "all_balanced": report.all_balanced,
         "critical_factors": list(report.flags.critical_factors),

@@ -10,7 +10,7 @@ produce the known survivor lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .liealg import (
@@ -23,6 +23,7 @@ from .liealg import (
     zero_weight,
 )
 from .reps import (
+    _dominant_scan,
     casimir,
     dual_weight,
     irreps_of_dim,
@@ -424,13 +425,6 @@ def _table1_weight(alg: SimpleAlgebra) -> Optional[Coords]:
     return hits[0] if hits else None
 
 
-def _square_root_exact(n: int) -> Optional[int]:
-    if n < 0:
-        return None
-    r = isqrt(n)
-    return r if r * r == n else None
-
-
 def _search_rows(max_rank: int) -> List[SimpleAlgebra]:
     if max_rank > MAX_SEARCH_RANK:
         raise SizeError(
@@ -522,27 +516,12 @@ def table1_scan(alg: Union[SimpleAlgebra, AlgebraType, str], coord_bound: int) -
     if coord_bound > MAX_SCAN_BOUND:
         raise SizeError(
             f"coordinate bound {coord_bound} exceeds the cap MAX_SCAN_BOUND = {MAX_SCAN_BOUND}")
-    n = alg.rank
     threshold = 2 * alg.dim * alg.dual_coxeter  # dim V * Casimir at the unit index
-    hits: List[Coords] = []
 
-    def total(w: Coords) -> Fraction:
-        return weyl_dim(alg, w) * casimir(alg, w)
+    def fits(w: Coords) -> bool:
+        return not any(w) or weyl_dim(alg, w) * casimir(alg, w) < threshold
 
-    def rec(prefix: Tuple[int, ...]) -> None:
-        if len(prefix) == n:
-            if any(prefix) and total(prefix) < threshold and alg.in_root_lattice(prefix):
-                hits.append(prefix)
-            return
-        for value in range(coord_bound + 1):
-            cand = prefix + (value,)
-            padded = cand + (0,) * (n - len(cand))
-            if any(padded) and total(padded) >= threshold:
-                break
-            rec(cand)
-
-    rec(())
-    return sorted(hits)
+    return [w for w in _dominant_scan(alg, fits, coord_bound) if any(w) and alg.in_root_lattice(w)]
 
 
 # ---------------------------------------------------------------------------
@@ -578,21 +557,19 @@ def a1_exclusion_check(d: Rational, k: Level) -> A1ExclusionResult:
     if isinstance(dk, QuadraticNumber):
         return A1ExclusionResult(None, None, False, False)
 
-    def variant(shift_num: int, rhs_shift: int) -> Tuple[Optional[int], bool]:
-        if dk + rhs_shift == 0:
-            return (None, True)
-        target = 4 * dk + shift_num
-        if target.denominator != 1 or target < 0:
-            return (None, False)
-        root = _square_root_exact(int(target))
-        if root is None:
-            return (None, False)
-        l = root - 1 if shift_num == 5 else root
-        return (l, False) if l >= 2 else (None, False)
+    n, m = dk.numerator, dk.denominator
+    if max(abs(n), m) > MAX_LEVEL_COEFF:
+        raise SizeError(f"d k = {dk} has a part above the cap MAX_LEVEL_COEFF = {MAX_LEVEL_COEFF}")
 
-    printed, printed_critical = variant(5, 1)
-    cas, cas_critical = variant(9, 2)
-    return A1ExclusionResult(printed, cas, printed_critical, cas_critical)
+    def integer_root(coeffs: List[int]) -> Optional[int]:
+        roots = _rational_roots(coeffs)
+        return next((int(r) for r in roots if r.denominator == 1 and r >= 2), None)
+
+    # l^2 + 2 l - 4 (d k + 1) = 0 and l^2 - 4 d k - 9 = 0, times m and constant
+    # first; at the critical d k = -1 and -2 neither has an integer root l >= 2.
+    return A1ExclusionResult(
+        integer_root([-4 * (n + m), 2 * m, m]), integer_root([-4 * n - 9 * m, 0, m]),
+        dk == -1, dk == -2)
 
 
 # The non-integrable candidate levels of the deep sl(2)-heavy subalgebras of
@@ -690,9 +667,9 @@ def _family_rows() -> List[Tuple[BranchingCase, Fraction, bool]]:
             rows.append((dual_pair_branching("OO", n, m), 2 - Fraction(n + m, 2), n == m))
     # Built-in labels only; an empty catalog spares a read of the shipped one.
     builtin = Catalog(())
-    for n in range(2, 7):
-        rows.append((resolve_case(f"spsl:{n}", builtin), Fraction(-1), False))
-    rows.append((resolve_case("G2-in-B3", builtin), Fraction(-2), False))
+    for label in [f"spsl:{n}" for n in range(2, 7)] + ["G2-in-B3"]:
+        case = resolve_case(label, builtin)
+        rows.append((case, case.level, False))
     return rows
 
 
@@ -737,10 +714,9 @@ def global_report(catalog: Optional[Catalog] = None) -> List[Dict[str, object]]:
     report: List[Dict[str, object]] = []
     for case, stated, expect_critical in rows:
         verdict = verify_case(case, stated, expect_critical)
-        label = case.label or case.sub.describe()
         report.append(
             {
-                "label": f"{label}@{stated}",
+                "label": f"{case.label}@{stated}",
                 "ambient": str(case.ambient),
                 "levels": [str(s) for s in verdict.levels],
                 "ap": {

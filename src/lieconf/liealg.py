@@ -34,7 +34,7 @@ _CLOSED_FORMS = {
 }
 
 # Largest rank whose Cartan data, form and root system are built.  The root
-# closure grows about as rank^3, and the largest ambient the paper's families
+# walk grows about as rank^3, and the largest ambient the paper's families
 # reach (so(144) = D72) stays below the cap.
 MAX_TABLE_RANK = 100
 
@@ -136,8 +136,9 @@ class SimpleAlgebra:
 
     ``dim``, ``dual_coxeter`` and ``num_positive`` come from closed forms, so
     they cost nothing at any rank.  Every table below is built on first use,
-    and only up to rank ``MAX_TABLE_RANK``; building one checks the root
-    closure against the closed forms.
+    and only up to rank ``MAX_TABLE_RANK``.  The positive roots come from a
+    walk up from the simple roots by simple reflections, which is checked
+    against the closed forms: the root count and h^vee = (rho, theta) + 1.
 
     Attributes
     ----------
@@ -149,7 +150,8 @@ class SimpleAlgebra:
     gram / form_denom : the Gram matrix (omega_i, omega_j) = d_i (C^{-1})_ij of the
         fundamental weights, gram / form_denom in lowest terms, from the adjugate.
     positive_roots_omega / positive_roots_alpha : aligned coordinate lists.
-    theta / theta_short : highest root and highest short root (equal when simply laced).
+    theta / theta_short : highest root and highest short root (equal when simply
+        laced), the dominant roots of the two root lengths.
     """
 
     def __init__(self, typ: AlgebraType):
@@ -216,75 +218,46 @@ class SimpleAlgebra:
 
     @cached_property
     def _roots(self) -> tuple:
-        """Close the simple roots under root addition and check the result.
+        """Walk up from the simple roots by simple reflections and check the result.
 
-        For a root a and simple root alpha_i, a + alpha_i is a root iff
-        p - <a, alpha_i^vee> >= 1 where p is the length of the alpha_i-string
-        below a; <a, alpha_i^vee> is the i-th fundamental-weight coordinate.
+        s_i permutes the positive roots other than alpha_i, so every positive
+        root is reached from a simple root by steps a -> s_i a = a - w_i alpha_i
+        with w_i = <a, alpha_i^vee> < 0, the i-th fundamental-weight coordinate.
+        Each root length is one Weyl orbit with exactly one dominant member, so
+        the dominant roots are theta_short (lowest) and theta (highest).
         Returns the positive roots in simple-root and in fundamental-weight
         coordinates, theta and theta_short.
         """
         n = self.rank
         cols = self.cartan_columns
-        # omega doubles as the root coordinate cache and the "seen" set; the
-        # omega coordinates of a + alpha_i follow the parent's incrementally.
-        omega: dict[tuple[int, ...], tuple[int, ...]] = {}
-        by_height: list[list[tuple[int, ...]]] = [[]]
-        simples = []
-        for i in range(n):
-            e = tuple(int(i == j) for j in range(n))
-            simples.append(e)
-            omega[e] = cols[i]
-        by_height.append(simples)
-        h = 1
-        while by_height[h]:
-            nxt: list[tuple[int, ...]] = []
-            for a in by_height[h]:
-                w = omega[a]
-                for i in range(n):
-                    p = 0
-                    probe = list(a)
-                    while True:
-                        probe[i] -= 1
-                        if probe[i] < 0 or tuple(probe) not in omega:
-                            break
-                        p += 1
-                    if p - w[i] >= 1:
-                        up = list(a)
-                        up[i] += 1
-                        t = tuple(up)
-                        if t not in omega:
-                            omega[t] = tuple(x + y for x, y in zip(w, cols[i]))
-                            nxt.append(t)
-            by_height.append(nxt)
-            h += 1
+        # omega doubles as the root coordinate table and the "seen" set.
+        omega = {tuple(int(i == j) for j in range(n)): cols[i] for i in range(n)}
+        todo = list(omega)
+        while todo:
+            a = todo.pop()
+            w = omega[a]
+            for i, wi in enumerate(w):
+                if wi < 0:
+                    t = a[:i] + (a[i] - wi,) + a[i + 1:]
+                    if t not in omega:
+                        omega[t] = tuple(x - wi * c for x, c in zip(w, cols[i]))
+                        todo.append(t)
 
-        alphas: list[tuple[int, ...]] = []
-        for level in by_height:
-            alphas.extend(sorted(level))
+        alphas = sorted(omega, key=lambda a: (sum(a), a))
         if len(alphas) != self.num_positive:
             raise LieError(
-                f"{self.type}: root closure gives {len(alphas)} positive roots, "
+                f"{self.type}: the reflection walk gives {len(alphas)} positive roots, "
                 f"the closed form {self.num_positive}")
-
-        top = by_height[h - 1]
-        if len(top) != 1:
-            raise LieError(f"highest root not unique for {self.type}")
-        theta = omega[top[0]]
+        dominant = [omega[a] for a in alphas if min(omega[a]) >= 0]
+        if len(dominant) != len(set(self.d6)):
+            raise LieError(
+                f"{self.type}: {len(dominant)} dominant roots for {len(set(self.d6))} root lengths")
+        theta = dominant[-1]
         hv = self.inner_product(self.rho, theta) + 1
         if hv != self.dual_coxeter:  # also catches a non-integral (rho, theta)
             raise LieError(
                 f"{self.type}: (rho, theta) + 1 = {hv}, the closed form gives {self.dual_coxeter}")
-
-        # (a, a) < 2 tested integrally: (a, a) = sum_j d_j a_j <a, alpha_j^vee>.
-        d6 = self.d6
-        shorts = [
-            (sum(a), a)
-            for a in alphas
-            if sum(d6[j] * a[j] * omega[a][j] for j in range(n)) < 12
-        ]
-        theta_short = omega[max(shorts)[1]] if shorts else theta
-        return tuple(alphas), tuple(omega[a] for a in alphas), theta, theta_short
+        return tuple(alphas), tuple(omega[a] for a in alphas), theta, dominant[0]
 
     @property
     def positive_roots_alpha(self) -> tuple[Coords, ...]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from operator import add
 from types import MappingProxyType
-from typing import Dict, Mapping, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
 from .liealg import Coords, LieError, Rational, SimpleAlgebra, SizeError
 
@@ -109,8 +109,9 @@ def dynkin_index(alg: SimpleAlgebra, lam: Sequence[Rational], convention: str = 
     if convention not in ("normalized", "killing"):
         raise LieError(f"unknown index convention {convention!r}")
     lam = _check_dominant(alg, lam)
-    norm = Fraction(weyl_dim(alg, lam) * casimir(alg, lam), 2 * alg.dim)
-    return norm / alg.dual_coxeter if convention == "killing" else norm
+    c2 = casimir(alg, lam)
+    scale = 2 * alg.dim * (alg.dual_coxeter if convention == "killing" else 1)
+    return Fraction(_weyl_dim_cached(alg, lam) * c2.numerator, scale * c2.denominator)
 
 
 def dual_weight(alg: SimpleAlgebra, lam: Sequence[Rational]) -> Coords:
@@ -409,30 +410,35 @@ def square_decompose(
     return result
 
 
-def irreps_of_dim(alg: SimpleAlgebra, v: int) -> list[Coords]:
-    """All dominant weights whose irreducible module has dimension exactly v.
+def _dominant_scan(alg: SimpleAlgebra, fits: Callable[[Coords], bool], bound: int) -> list[Coords]:
+    """The dominant weights with coordinates at most ``bound`` that pass ``fits``,
+    sorted (the depth-first scan meets them in lexicographic order).
 
-    Complete: the Weyl dimension is strictly increasing in every coordinate,
-    so the depth-first scan stops raising a coordinate as soon as the
-    dimension (with the remaining coordinates at zero) exceeds v.
+    ``fits`` must only turn false as a coordinate grows, so the scan stops
+    raising a coordinate at its first failure, the later coordinates at zero.
     """
     n = alg.rank
     found: list[Coords] = []
 
     def rec(prefix: tuple[int, ...]) -> None:
-        i = len(prefix)
-        if i == n:
-            if _weyl_dim_cached(alg, prefix) == v:
-                found.append(prefix)
+        if len(prefix) == n:
+            found.append(prefix)
             return
-        tail = (0,) * (n - i - 1)
-        c = 0
-        while True:
-            cand = prefix + (c,)
-            if _weyl_dim_cached(alg, cand + tail) > v:
+        tail = (0,) * (n - len(prefix) - 1)
+        for c in range(bound + 1):
+            if not fits(prefix + (c,) + tail):
                 break
-            rec(cand)
-            c += 1
+            rec(prefix + (c,))
 
     rec(())
-    return sorted(found)
+    return found
+
+
+def irreps_of_dim(alg: SimpleAlgebra, v: int) -> list[Coords]:
+    """All dominant weights whose irreducible module has dimension exactly v.
+
+    Complete: the Weyl dimension is strictly increasing in every coordinate,
+    and dim L(c omega_i) > c, so no coordinate exceeds v.
+    """
+    small = _dominant_scan(alg, lambda w: _weyl_dim_cached(alg, w) <= v, v)
+    return [lam for lam in small if _weyl_dim_cached(alg, lam) == v]

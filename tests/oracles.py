@@ -1,31 +1,34 @@
 """Independent reference implementations used to cross-check the package.
 
 Each oracle recomputes a quantity from first principles along a different
-algorithmic route than the library: root lengths read off the symmetrized
-Cartan matrix and a `Fraction` Gauss-Jordan inverse check the integer
-invariant form built from the adjugate, alternating Weyl-orbit sums check
-character data, a quadratic-time Euler product and the pentagonal-number
-expansion check the integer Euler product, the `Fraction` Weyl-dimension
-table checks the integer one, a convolve-and-peel decomposition checks the
-tensor-product path, `Fraction` Freudenthal over every weight and a
-`Fraction`-height peel check the integer, orbit-driven weight systems and
-decompositions, adjoint branchings rebuilt on coordinate-tuple weight dicts
-check the packed-int branching check, `Fraction`-dict direct sums and series
-products check the integer sums and eta-quotient recurrences of the
-character models and both sides of every identity, `Fraction` evaluation at
-every candidate checks the integer rational-root search of the level solver,
-a `Fraction` polynomial product checks its integer level polynomial, and the
-balance criterion evaluated at the ambient level, with every factor's
-Casimir and dual Coxeter number rescaled by its embedding index, checks the
-library's evaluation at the factor levels and its criticality flags.  They
-are deliberately slow and simple.
+algorithmic route than the library: the root-string closure checks the
+positive roots found by the simple-reflection walk, root lengths read off
+the symmetrized Cartan matrix and a `Fraction` Gauss-Jordan inverse check
+the integer invariant form built from the adjugate, alternating Weyl-orbit
+sums check character data, a quadratic-time Euler product and the
+pentagonal-number expansion check the integer Euler product, the `Fraction`
+Weyl-dimension table checks the integer one, a convolve-and-peel
+decomposition checks the tensor-product path, `Fraction` Freudenthal over
+every weight and a `Fraction`-height peel check the integer, orbit-driven
+weight systems and decompositions, adjoint branchings rebuilt on
+coordinate-tuple weight dicts check the packed-int branching check,
+`Fraction`-dict direct sums and series products check the integer sums and
+eta-quotient recurrences of the character models and both sides of every
+identity, `Fraction` evaluation at every candidate checks the integer
+rational-root search of the level solver, perfect squares by `math.isqrt`
+check the integer roots of the sl(2)-summand test, a `Fraction` polynomial
+product checks its integer level polynomial, and the balance criterion
+evaluated at the ambient level, with every factor's Casimir and dual Coxeter
+number rescaled by its embedding index, checks the library's evaluation at
+the factor levels and its criticality flags. They are deliberately slow and
+simple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from operator import add
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -166,6 +169,58 @@ def fraction_root_halves(alg: SimpleAlgebra) -> tuple[Fraction, ...]:
                 stack.append(j)
     top = max(d.values())
     return tuple(d[i] / top for i in range(alg.rank))
+
+
+def string_closure_roots(alg: SimpleAlgebra) -> tuple:
+    """Positive roots by closing the simple roots under root addition.
+
+    For a root a and simple root alpha_i, a + alpha_i is a root iff
+    p - <a, alpha_i^vee> >= 1 where p is the length of the alpha_i-string
+    below a; <a, alpha_i^vee> is the i-th fundamental-weight coordinate.
+    Only ``cartan_columns`` is read: theta is the unique root of top height
+    and theta_short the highest root shorter than theta, with lengths from
+    `fraction_root_halves`.  Returns the same four tables as
+    ``SimpleAlgebra._roots``.
+    """
+    n = alg.rank
+    cols = alg.cartan_columns
+    omega: Dict[Coords, Coords] = {}
+    by_height: List[List[Coords]] = [[]]
+    simples = []
+    for i in range(n):
+        e = tuple(int(i == j) for j in range(n))
+        simples.append(e)
+        omega[e] = cols[i]
+    by_height.append(simples)
+    while by_height[-1]:
+        nxt: List[Coords] = []
+        for a in by_height[-1]:
+            w = omega[a]
+            for i in range(n):
+                p = 0
+                probe = list(a)
+                while True:
+                    probe[i] -= 1
+                    if probe[i] < 0 or tuple(probe) not in omega:
+                        break
+                    p += 1
+                if p - w[i] >= 1:
+                    up = list(a)
+                    up[i] += 1
+                    t = tuple(up)
+                    if t not in omega:
+                        omega[t] = tuple(x + y for x, y in zip(w, cols[i]))
+                        nxt.append(t)
+        by_height.append(nxt)
+    alphas = [a for level in by_height for a in sorted(level)]
+    top = by_height[-2]
+    if len(top) != 1:
+        raise ValueError(f"highest root not unique for {alg.type}")
+    # (a, a) = sum_j d_j a_j <a, alpha_j^vee> < 2, tested on the integers 6 d_j.
+    d6 = [int(6 * x) for x in fraction_root_halves(alg)]
+    shorts = [a for a in alphas if sum(x * y * z for x, y, z in zip(d6, a, omega[a])) < 12]
+    theta_short = shorts[-1] if shorts else top[0]
+    return tuple(alphas), tuple(omega[a] for a in alphas), omega[top[0]], omega[theta_short]
 
 
 @lru_cache(maxsize=None)
@@ -582,6 +637,35 @@ def fraction_rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
             quotient.append(carry)
         coeffs = quotient[::-1]
     return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# the sl(2)-summand test by perfect squares
+
+
+def isqrt_a1_exclusion(d: Fraction, k: Fraction) -> Tuple:
+    """The sl(2)-summand test by perfect squares: (l + 1)^2 = 4 d k + 5 and
+    l^2 = 4 d k + 9, each with l >= 2, critical at d k = -1 and -2.
+
+    Returns (printed, casimir, printed_critical, casimir_critical) as
+    `lieconf.conformal.a1_exclusion_check` does, for rational d k.
+    """
+    dk = Fraction(d) * Fraction(k)
+
+    def variant(shift: int, offset: int) -> tuple:
+        if dk + shift == 0:
+            return None, True
+        target = 4 * dk + (5 if shift == 1 else 9)
+        if target.denominator != 1 or target < 0:
+            return None, False
+        root = isqrt(int(target))
+        if root * root != target:
+            return None, False
+        ell = root - offset
+        return (ell if ell >= 2 else None), False
+
+    (printed, printed_critical), (cas, cas_critical) = variant(1, 1), variant(2, 0)
+    return printed, cas, printed_critical, cas_critical
 
 
 # ---------------------------------------------------------------------------

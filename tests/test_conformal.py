@@ -1,12 +1,14 @@
 """Level solving, balance checks, forced constants, exclusion tests, the
 classification searches, and the global report."""
 
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lieconf.liealg import AlgebraType, LieError, SizeError, build_algebra
+from lieconf.liealg import AlgebraType, LieError, SizeError, build_algebra, constructible_types
 from lieconf.embed import (
     DUAL_PAIR_FAMILIES,
     SubalgebraSpec,
@@ -14,6 +16,7 @@ from lieconf.embed import (
     load_catalog,
     resolve_case,
 )
+from lieconf.reps import dynkin_index
 from lieconf.surd import QuadraticNumber
 from lieconf.conformal import (
     EXCLUDED_CANDIDATES,
@@ -38,7 +41,12 @@ from lieconf.conformal import (
     _rational_roots,
 )
 
-from oracles import fraction_level_polynomial, fraction_rational_roots, restricted_balance
+from oracles import (
+    fraction_level_polynomial,
+    fraction_rational_roots,
+    isqrt_a1_exclusion,
+    restricted_balance,
+)
 
 
 def levels_of(case):
@@ -432,6 +440,28 @@ class TestA1Exclusion:
         assert len(EXCLUDED_CANDIDATES) == 8
         assert len(descriptions) == 8
 
+    def test_integer_roots_match_the_perfect_square_test(self):
+        # d = a/b, k = p/q over a grid that holds both critical points and
+        # solutions of either variant.  Both tests read d and k only through
+        # d k, so each of the 2757 distinct products is checked once, at its
+        # first (d, k), and counted with its multiplicity in the grid.
+        grid = Counter()
+        first = {}
+        for a, b, p, q in product(range(1, 13), range(1, 5), range(-40, 41), (1, 2, 3, 4, 5, 8)):
+            dk = Fraction(a * p, b * q)
+            grid[dk] += 1
+            if dk not in first:
+                first[dk] = Fraction(a, b), Fraction(p, q)
+        assert sum(grid.values()) == 23328 and len(grid) == 2757
+        results = {dk: a1_exclusion_check(*dk_pair) for dk, dk_pair in first.items()}
+        wrong = [dk for dk, res in results.items() if tuple(res) != isqrt_a1_exclusion(*first[dk])]
+        assert not wrong
+        assert sum(grid[dk] for dk, res in results.items() if not res.empty) == 1483
+
+    def test_huge_level_fails_at_once(self):
+        with pytest.raises(SizeError):
+            a1_exclusion_check(1, 10**30)
+
     def test_variant_levels_also_empty(self):
         # the level values that differ from the re-derived ones by a digit
         # must be just as empty, whichever variant is consulted
@@ -477,6 +507,15 @@ class TestTable1Scan:
     def test_bound_three_adds_nothing(self):
         for typ in ("B2", "C3", "F4", "G2", "A2", "D4"):
             assert table1_scan(typ, 3) == table1_scan(typ, 2)
+
+    @pytest.mark.parametrize("typ", constructible_types(4), ids=str)
+    def test_scan_matches_the_box(self, typ):
+        alg = build_algebra(typ)
+        box = [
+            w for w in product(range(4), repeat=alg.rank)
+            if any(w) and dynkin_index(alg, w, "killing") < 1 and alg.in_root_lattice(w)
+        ]
+        assert table1_scan(typ, 3) == box
 
     def test_bad_bound_rejected(self):
         with pytest.raises(LieError):

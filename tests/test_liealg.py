@@ -16,7 +16,7 @@ from lieconf.liealg import (
     constructible_types,
     fundamental,
 )
-from oracles import fraction_form, fraction_root_halves
+from oracles import fraction_form, fraction_root_halves, string_closure_roots
 
 DUAL_COXETER = {
     "A": lambda n: n + 1,
@@ -201,6 +201,22 @@ class TestKnownHighestRoots:
         assert d3.dim == a3.dim == 15
         assert d3.dual_coxeter == a3.dual_coxeter == 4
         assert d3.iso_note
+
+
+class TestRootWalk:
+    @pytest.mark.parametrize(
+        "typ", constructible_types(12) + [AlgebraType(f, 40) for f in "ABCD"], ids=str)
+    def test_walk_matches_the_string_closure(self, typ):
+        # positive_roots_alpha, positive_roots_omega, theta and theta_short
+        alg = build_algebra(typ)
+        assert alg._roots == string_closure_roots(alg)
+
+    def test_one_dominant_root_per_length_is_checked(self):
+        alg = liealg.SimpleAlgebra(AlgebraType("G", 2))
+        alg.cartan_columns
+        alg.d6 = (6, 6)  # claims one root length; G2's walk finds two dominant roots
+        with pytest.raises(LieError, match="2 dominant roots for 1 root lengths"):
+            alg.theta
 
 
 class TestWeylAction:

@@ -1,6 +1,7 @@
 """Highest-weight module data: dimensions, Casimir eigenvalues, indices,
 weight systems, tensor products, and square decompositions."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -415,6 +416,24 @@ class TestIrrepsOfDim:
     def test_known_lists(self, typ, v, expected):
         got = irreps_of_dim(build_algebra(typ), v)
         assert sorted(got) == sorted(expected)
+
+    @pytest.mark.parametrize("typ", constructible_types(4), ids=str)
+    def test_scan_matches_the_box(self, typ):
+        # A weight with a coordinate above top has at least the dimension of
+        # some L((top + 1) omega_i), so the box [0, top]^rank holds every
+        # weight of smaller dimension.  Dimensions are checked up to 300.
+        alg = build_algebra(typ)
+        top = 12 // alg.rank
+        box = {}
+        for lam in itertools.product(range(top + 1), repeat=alg.rank):
+            box.setdefault(weyl_dim(alg, lam), []).append(lam)
+        limit = min(
+            300,
+            *(weyl_dim(alg, tuple((top + 1) * x for x in fundamental(alg, i)))
+              for i in range(1, alg.rank + 1)),
+        )
+        for v in range(1, limit):
+            assert irreps_of_dim(alg, v) == box.get(v, []), v
 
     def test_every_hit_has_the_dimension(self):
         alg = build_algebra("B4")
