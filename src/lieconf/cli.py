@@ -255,15 +255,14 @@ def _cmd_conformal_solve(args) -> Handler:
 
     if args.case:
         case = _resolve(args)
-        ambient, sub, groups, label = case.ambient, case.sub, case.slot_groups, case.label
+        ambient, sub, label = case.ambient, case.sub, case.label
     elif args.ambient and args.factors:
         ambient = AlgebraType.parse(args.ambient)
         sub = _parse_factors(args.factors)
-        groups = None
         label = f"{sub.describe()} in {ambient}"
     else:
         raise UsageError("conformal solve needs --case LABEL or --ambient TYPE --factors SPEC")
-    solutions = solve_levels(ambient, sub, groups)
+    solutions = solve_levels(ambient, sub)
     rows = []
     for sol in solutions:
         flags = level_flags(ambient, sub, sol)
@@ -339,7 +338,7 @@ def _cmd_classify(args) -> Handler:
             for n in range(n_lo, 7):
                 for m in range(m_lo, 7):
                     case = dual_pair_branching(family, n, m)
-                    sols = solve_levels(case.ambient, case.sub, case.slot_groups)
+                    sols = solve_levels(case.ambient, case.sub)
                     crit = [
                         str(s)
                         for s in sols
@@ -404,7 +403,7 @@ def _cmd_classify(args) -> Handler:
         return payload, 0
     if which == "exceptional":
         rows = []
-        for case in load_catalog(args.catalog):
+        for case in load_catalog(args.catalog).values():
             verdict = verify_case(case, case.level)
             rows.append(
                 {

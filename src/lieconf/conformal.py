@@ -32,7 +32,6 @@ from .reps import (
 )
 from .embed import (
     BranchingCase,
-    Catalog,
     SubalgebraSpec,
     dual_pair_branching,
     load_catalog,
@@ -73,7 +72,7 @@ MAX_SEARCH_RANK = 20
 # trial-divides its end coefficients and the surd step its discriminant.
 # The shipped cases and the dual-pair grids up to n, m = 8 stay below 2**16;
 # the worst case under the cap (end coefficients with 504 divisors, no
-# rational root) takes about 0.35 s.
+# rational root) takes about 0.04 s.
 MAX_LEVEL_COEFF = 2**24
 # Cap on the charge entries (physical factors plus the ambient): the
 # polynomial build takes O(N^2) steps on integers of about N times the bits of
@@ -113,10 +112,11 @@ def central_charge(alg: Union[SimpleAlgebra, AlgebraType, str], k: Level):
 # polynomial once multiplied by every factor's (j_j k + h_j) and the ambient
 # (k + h_g).  The always-present root k = 0 is removed; remaining rational
 # roots are deflated and anything left of degree two is solved in surds.
-# Linear forms are kept once per *physical* factor (an so(4) factor
-# contributes a single form even though it is presented as two sl(2) slots),
-# so a coincidence of candidate root and critical level survives in the
-# output exactly when two distinct factors share the form.
+# Linear forms are kept once per *physical* factor, a group of
+# SubalgebraSpec.groups (an so(4) factor contributes a single form even though
+# it is presented as two sl(2) slots), so a coincidence of candidate root and
+# critical level survives in the output exactly when two distinct factors
+# share the form.
 
 
 def _scaled_value(ints: Sequence[int], p: int, q: int) -> int:
@@ -173,11 +173,12 @@ def _rational_roots(coeffs: List[Rational]) -> List[Fraction]:
             roots.append(Fraction(0))
             del coeffs[0]
             continue
+        leading = _divisors(coeffs[-1])
         found = next(
             (
                 (p, q)
                 for p_abs in _divisors(coeffs[0])
-                for q in _divisors(coeffs[-1])
+                for q in leading
                 if gcd(p_abs, q) == 1
                 for p in (p_abs, -p_abs)
                 if _scaled_value(coeffs, p, q) == 0
@@ -203,32 +204,16 @@ def _quadratic_solutions(coeffs: Sequence[int]) -> List[QuadraticNumber]:
 
 
 def _charge_entries(
-    ambient: SimpleAlgebra,
-    sub: SubalgebraSpec,
-    slot_groups: Optional[Sequence[Sequence[int]]],
+    ambient: SimpleAlgebra, sub: SubalgebraSpec
 ) -> List[Tuple[Fraction, Fraction, int]]:
     """(pole, slope j, signed dimension) per physical factor, ambient last."""
-    factors = sub.factors
-    if slot_groups is None:
-        slot_groups = [(i,) for i in range(len(factors))]
-    seen = sorted(i for g in slot_groups for i in g)
-    if seen != list(range(len(factors))):
-        raise LieError("slot groups must partition the factor slots")
     entries: List[Tuple[Fraction, Fraction, int]] = []
-    for group in slot_groups:
-        poles = set()
-        dim_total = 0
-        j_first = None
-        for slot in group:
-            typ, j = factors[slot]
-            alg = build_algebra(typ)
-            poles.add(Fraction(-alg.dual_coxeter) / j)
-            dim_total += alg.dim
-            if j_first is None:
-                j_first = j
+    for group in sub.groups:
+        slots = [(build_algebra(sub.factors[i][0]), sub.factors[i][1]) for i in group]
+        poles = {Fraction(-alg.dual_coxeter) / j for alg, j in slots}
         if len(poles) != 1:
             raise LieError("slots of one physical factor must share a critical level")
-        entries.append((poles.pop(), j_first, dim_total))
+        entries.append((poles.pop(), slots[0][1], sum(alg.dim for alg, _j in slots)))
     entries.append((Fraction(-ambient.dual_coxeter), Fraction(1), -ambient.dim))
     return entries
 
@@ -261,22 +246,21 @@ def _level_polynomial(entries: Sequence[Tuple[Fraction, Fraction, int]]) -> List
 
 
 def solve_levels(
-    ambient: Union[SimpleAlgebra, AlgebraType, str],
-    sub: SubalgebraSpec,
-    slot_groups: Optional[Sequence[Sequence[int]]] = None,
+    ambient: Union[SimpleAlgebra, AlgebraType, str], sub: SubalgebraSpec
 ) -> List[QuadraticNumber]:
     """All non-zero candidate levels where central charges can match.
 
     Returns the roots, sorted by (d, p, q), of the equation
     sum_j c_{j_j k}(k_j) = c_k(g) cleared to a polynomial (the trivial root
-    k = 0 removed).  Roots at which a factor or the ambient algebra is
-    critical are included; flag them with :func:`level_flags`.  Raises when
-    more than a quadratic remains after rational-root deflation, and
-    SizeError above MAX_LEVEL_ENTRIES factors or when a cleared coefficient
-    exceeds MAX_LEVEL_COEFF.
+    k = 0 removed), with one term per physical factor of ``sub.groups``.
+    Roots at which a factor or the ambient algebra is critical are included;
+    flag them with :func:`level_flags`.  Raises when more than a quadratic
+    remains after rational-root deflation, and SizeError above
+    MAX_LEVEL_ENTRIES physical factors or when a cleared coefficient exceeds
+    MAX_LEVEL_COEFF.
     """
     ambient = build_algebra(ambient)
-    entries = _charge_entries(ambient, sub, slot_groups)
+    entries = _charge_entries(ambient, sub)
     if len(entries) > MAX_LEVEL_ENTRIES:
         raise SizeError(
             f"charge-matching equation has {len(entries)} entries (physical factors "
@@ -666,7 +650,7 @@ def _family_rows() -> List[Tuple[BranchingCase, Fraction, bool]]:
         for m in range(3, 7):
             rows.append((dual_pair_branching("OO", n, m), 2 - Fraction(n + m, 2), n == m))
     # Built-in labels only; an empty catalog spares a read of the shipped one.
-    builtin = Catalog(())
+    builtin: Dict[str, BranchingCase] = {}
     for label in [f"spsl:{n}" for n in range(2, 7)] + ["G2-in-B3"]:
         case = resolve_case(label, builtin)
         rows.append((case, case.level, False))
@@ -689,7 +673,7 @@ class Verdict(NamedTuple):
 
 def verify_case(case: BranchingCase, level: Level, expect_critical: bool = False) -> Verdict:
     """Solve ``case`` for its candidate levels and judge the stated ``level``."""
-    levels = solve_levels(case.ambient, case.sub, case.slot_groups)
+    levels = solve_levels(case.ambient, case.sub)
     ap = ap_check(case, level)
     stated_is_root = level in levels
     ok = (
@@ -700,7 +684,9 @@ def verify_case(case: BranchingCase, level: Level, expect_critical: bool = False
     return Verdict(levels, stated_is_root, ap, ok)
 
 
-def global_report(catalog: Optional[Catalog] = None) -> List[Dict[str, object]]:
+def global_report(
+    catalog: Optional[Dict[str, BranchingCase]] = None
+) -> List[Dict[str, object]]:
     """Re-derive every classified non-integrable case and check it.
 
     Each row is the :func:`verify_case` verdict at the stated level: either
@@ -710,7 +696,7 @@ def global_report(catalog: Optional[Catalog] = None) -> List[Dict[str, object]]:
     if catalog is None:
         catalog = load_catalog()
     rows = _family_rows()
-    rows.extend((case, case.level, False) for case in catalog)
+    rows.extend((case, case.level, False) for case in catalog.values())
     report: List[Dict[str, object]] = []
     for case, stated, expect_critical in rows:
         verdict = verify_case(case, stated, expect_critical)

@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, product, starmap
 from operator import add, mul, sub
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import DUAL_PAIR_FAMILIES
 from .liealg import (
@@ -72,7 +72,6 @@ from .surd import parse_rational
 __all__ = [
     "SubalgebraSpec",
     "BranchingCase",
-    "Catalog",
     "dual_pair_branching",
     "embedding_index",
     "defining_weight",
@@ -90,20 +89,33 @@ __all__ = [
 class _SubalgebraSpecFields(NamedTuple):
     factors: Tuple[Tuple[AlgebraType, Fraction], ...]
     label: str = ""
+    groups: Tuple[Tuple[int, ...], ...] = ()
 
 
 class SubalgebraSpec(_SubalgebraSpecFields):
-    """Simple factors of a semisimple subalgebra, each with its embedding index."""
+    """Simple factors of a semisimple subalgebra, each with its embedding index.
+
+    ``groups`` partitions the factor slots into physical factors: an so(4)
+    factor is presented as two sl(2) slots but is a single group.  The
+    default is one group per slot.
+    """
 
     __slots__ = ()
 
     def __new__(
-        cls, factors: Tuple[Tuple[AlgebraType, Fraction], ...], label: str = ""
+        cls,
+        factors: Tuple[Tuple[AlgebraType, Fraction], ...],
+        label: str = "",
+        groups: Optional[Tuple[Tuple[int, ...], ...]] = None,
     ) -> "SubalgebraSpec":
         for typ, idx in factors:
             if idx <= 0:
                 raise LieError(f"embedding index must be positive, got {idx} for {typ}")
-        return super().__new__(cls, factors, label)
+        if groups is None:
+            groups = tuple((i,) for i in range(len(factors)))
+        if not all(groups) or sorted(chain.from_iterable(groups)) != list(range(len(factors))):
+            raise LieError("groups must partition the factor slots")
+        return super().__new__(cls, factors, label, groups)
 
     @property
     def algebras(self) -> Tuple[SimpleAlgebra, ...]:
@@ -121,18 +133,12 @@ class SubalgebraSpec(_SubalgebraSpecFields):
 
 
 class BranchingCase(NamedTuple):
-    """An adjoint branching g = (+)_j k_j (+) p with embedding data.
-
-    ``slot_groups`` partitions the factor slots into physical factors: an
-    so(4) factor is presented as two sl(2) slots but is a single group.  None
-    means every slot is its own group.
-    """
+    """An adjoint branching g = (+)_j k_j (+) p with embedding data."""
 
     ambient: AlgebraType
     sub: SubalgebraSpec
     p_components: Decomposition
     level: Optional[Fraction] = None
-    slot_groups: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @property
     def label(self) -> str:
@@ -147,37 +153,6 @@ class BranchingCase(NamedTuple):
                 f"case {self.label or self.sub.describe()!r}: factor and p dimensions "
                 f"sum to {total}, ambient {self.ambient} has dimension {ambient_dim}"
             )
-
-
-class Catalog:
-    """An immutable label-keyed collection of branching cases."""
-
-    def __init__(self, cases: Iterable[BranchingCase]):
-        self._cases: Dict[str, BranchingCase] = {}
-        for case in cases:
-            if not case.label:
-                raise LieError("catalog cases must carry a label")
-            if case.label in self._cases:
-                raise LieError(f"duplicate label {case.label!r}")
-            self._cases[case.label] = case
-
-    def __getitem__(self, label: str) -> BranchingCase:
-        try:
-            return self._cases[label]
-        except KeyError:
-            raise LieError(f"unknown case label {label!r}") from None
-
-    def __contains__(self, label: str) -> bool:
-        return label in self._cases
-
-    def __iter__(self) -> Iterator[BranchingCase]:
-        return iter(self._cases.values())
-
-    def __len__(self) -> int:
-        return len(self._cases)
-
-    def labels(self) -> List[str]:
-        return list(self._cases)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +329,7 @@ def _build_case(
     label: str,
     module_components: Sequence[Tuple[Coords, ...]],
     level: Optional[Fraction] = None,
-    slot_groups: Optional[Tuple[Tuple[int, ...], ...]] = None,
+    groups: Optional[Tuple[Tuple[int, ...], ...]] = None,
 ) -> BranchingCase:
     """A case from the restriction of the ambient's defining module V.
 
@@ -371,12 +346,12 @@ def _build_case(
         / (2 * alg.dim * _DEFINING_INDEX[ambient.family])
         for i, alg in enumerate(algs)
     ]
-    sub = SubalgebraSpec(tuple(zip(types, indices)), label)
+    sub = SubalgebraSpec(tuple(zip(types, indices)), label, groups)
     components: Dict[Tuple[Coords, ...], int] = {}
     for comp in p_list:
         components[comp] = components.get(comp, 0) + 1
     p_decomp = Decomposition(algs, components)
-    case = BranchingCase(ambient, sub, p_decomp, level, slot_groups)
+    case = BranchingCase(ambient, sub, p_decomp, level)
     case.check_dimensions()
     _verify_adjoint_branching(algs, ambient, module_components, components)
     return case
@@ -419,7 +394,7 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
     label = f"{family}:{n},{m}"
     if family == "BB":
         case = dual_pair_branching("OO", 2 * n + 1, 2 * m + 1)
-        return case._replace(sub=SubalgebraSpec(case.sub.factors, label))
+        return case._replace(sub=case.sub._replace(label=label))
     if family == "slsl" and (n < 2 or m < 2):
         raise LieError("slsl needs n, m >= 2")
     if family == "spsp" and n * m < 2:
@@ -444,7 +419,7 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
         module = [f1.vector + f2.vector]
     k1, k2 = len(f1.types), len(f2.types)
     groups = (tuple(range(k1)), tuple(range(k1, k1 + k2)))
-    return _build_case(ambient, f1.types + f2.types, p_list, label, module, slot_groups=groups)
+    return _build_case(ambient, f1.types + f2.types, p_list, label, module, groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -615,13 +590,13 @@ def _case_from_document(entry) -> BranchingCase:
     return case
 
 
-def load_catalog(source=None) -> Catalog:
+def load_catalog(source=None) -> Dict[str, BranchingCase]:
     """Load and validate a catalog document (default: the shipped catalog).
 
-    ``source`` may be a parsed JSON array or the path of a JSON file; a path
-    is always opened, whatever its name.  Any schema violation, duplicate
-    label, or dimension mismatch rejects the whole document, naming the
-    offending label.
+    Returns the cases keyed by label, in document order.  ``source`` may be
+    a parsed JSON array or the path of a JSON file; a path is always opened,
+    whatever its name.  Any schema violation, duplicate label, or dimension
+    mismatch rejects the whole document, naming the offending label.
     """
     if isinstance(source, (list, tuple)):
         document = list(source)
@@ -631,7 +606,13 @@ def load_catalog(source=None) -> Catalog:
             document = json.load(handle)
     if not isinstance(document, list):
         raise LieError("catalog document must be a JSON array of cases")
-    return Catalog(_case_from_document(entry) for entry in document)
+    catalog: Dict[str, BranchingCase] = {}
+    for entry in document:
+        case = _case_from_document(entry)
+        if case.label in catalog:
+            raise LieError(f"duplicate label {case.label!r}")
+        catalog[case.label] = case
+    return catalog
 
 
 # ---------------------------------------------------------------------------
@@ -641,7 +622,9 @@ _FAMILY_LABEL = re.compile(rf"^({'|'.join(DUAL_PAIR_FAMILIES)}):(\d+),(\d+)$")
 _SPSL_LABEL = re.compile(r"^spsl:(\d+)$")
 
 
-def resolve_case(label: str, catalog: Optional[Catalog] = None) -> BranchingCase:
+def resolve_case(
+    label: str, catalog: Optional[Dict[str, BranchingCase]] = None
+) -> BranchingCase:
     """Resolve a built-in case label to a BranchingCase.
 
     Catalog labels win; otherwise family labels like ``spso:2,3`` or
@@ -667,7 +650,7 @@ def resolve_case(label: str, catalog: Optional[Catalog] = None) -> BranchingCase
     )
 
 
-def builtin_labels(catalog: Optional[Catalog] = None) -> List[str]:
+def builtin_labels(catalog: Optional[Dict[str, BranchingCase]] = None) -> List[str]:
     if catalog is None:
         catalog = load_catalog()
-    return catalog.labels() + [*_FIXED_CASES, "spsl:<n>", "<family>:<n>,<m>"]
+    return [*catalog, *_FIXED_CASES, "spsl:<n>", "<family>:<n>,<m>"]

@@ -293,14 +293,6 @@ class SimpleAlgebra:
                 total += li * sum(g * mj for g, mj in zip(row, mu) if mj)
         return Fraction(total, self.form_denom)
 
-    def reflect(self, w: Sequence[Rational], i: int) -> Coords:
-        """Simple reflection s_i acting in fundamental-weight coordinates."""
-        wi = w[i]
-        if wi == 0:
-            return tuple(w)
-        col = self.cartan_columns[i]
-        return tuple(w[k] - wi * col[k] for k in range(self.rank))
-
     def to_dominant(self, w: Sequence[Rational]) -> tuple[Coords, int]:
         """Dominant representative of the Weyl orbit of w, with the sign (-1)^length."""
         cur = tuple(w)

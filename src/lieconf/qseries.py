@@ -13,7 +13,8 @@ and `euler_phi` wrap their lists once, through `_from_grid`.  A series maps
 fractional exponents to exact rational coefficients below an explicit
 truncation order; at or above it everything is unknown.  Its arithmetic
 stays here only because the `Fraction` oracle of the tests and the bench
-tracer use it, until the tracer stops binding those names (ROADMAP item 2).
+tracer use it, until the tracer stops binding those names (ROADMAP item 1)
+and item 6 moves them to the test oracles.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from operator import add
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
@@ -242,13 +243,6 @@ def split_coords(algs: Sequence[SimpleAlgebra], w: Coords) -> tuple[Coords, ...]
     return tuple(parts)
 
 
-def join_coords(parts: Sequence[Coords]) -> Coords:
-    out: list = []
-    for p in parts:
-        out.extend(p)
-    return tuple(out)
-
-
 def product_dim(algs: Sequence[SimpleAlgebra], module: Sequence[Coords]) -> int:
     return math.prod(weyl_dim(a, w) for a, w in zip(algs, module))
 
@@ -296,7 +290,7 @@ class Decomposition(NamedTuple):
         form = height_form(self.algebras)
 
         def height(comp: Tuple[Coords, ...]) -> int:
-            return sum(c * t for c, t in zip(join_coords(comp), form))
+            return sum(c * t for c, t in zip(chain.from_iterable(comp), form))
 
         return sorted(self.components.items(), key=lambda kv: (-height(kv[0]), kv[0]))
 

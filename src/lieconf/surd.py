@@ -1,9 +1,9 @@
 """Exact arithmetic in real quadratic fields.
 
 `QuadraticNumber` is p + q*sqrt(d) with rational p, q and a fixed squarefree
-d >= 0; it supports field arithmetic against rationals and same-field numbers,
-exact sign determination, and equality, and prints as (a+b*sqrt(d))/c.  It is
-the one type for solved levels.
+d >= 0; it supports field arithmetic against rationals and same-field numbers
+and exact equality, and prints as (a+b*sqrt(d))/c.  It is the one type for
+solved levels.
 """
 from __future__ import annotations
 
@@ -139,38 +139,13 @@ class QuadraticNumber:
     def __rtruediv__(self, other):
         return self.inverse() * other
 
-    # -- comparisons -----------------------------------------------------------
-
-    def sign(self) -> int:
-        p, q, d = self.p, self.q, self.d
-        if q == 0:
-            return (p > 0) - (p < 0)
-        if p == 0:
-            return (q > 0) - (q < 0)
-        if p > 0 and q > 0:
-            return 1
-        if p < 0 and q < 0:
-            return -1
-        # opposite signs: compare p*p against q*q*d exactly
-        big_rational = p * p > q * q * d
-        if p > 0:
-            return 1 if big_rational else -1
-        return -1 if big_rational else 1
+    # -- equality ---------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
         return self.p == o.p and self.q == o.q and (self.q == 0 or self.d == o.d)
-
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        return self == other or self < other
 
     def __hash__(self):
         if self.q == 0:  # equal to the rational p, so hash like it

@@ -73,7 +73,7 @@ def _critical_level(family, n, m):
 def test_criterion_1_dual_pair_level_grid():
     for family, n, m in _grid():
         case = dual_pair_branching(family, n, m)
-        sols = solve_levels(case.ambient, case.sub, case.slot_groups)
+        sols = solve_levels(case.ambient, case.sub)
         assert all(s.is_rational for s in sols), (family, n, m)
         got = {s.to_fraction() for s in sols}
         assert got == _expected_levels(family, n, m), (family, n, m)
@@ -93,9 +93,9 @@ def test_criterion_2_balance_verdicts():
         "F4-in-E6",
         "G2xA1-in-F4",
     }
-    assert required <= set(catalog.labels())
+    assert required <= set(catalog)
     balanced = 0
-    for label in sorted(catalog.labels()):
+    for label in sorted(catalog):
         case = catalog[label]
         assert ap_check(case, case.level).all_balanced, label
         balanced += 1
@@ -237,7 +237,7 @@ def test_criterion_6_randomized_cross_validation():
         checked += 1
 
     catalog = load_catalog()
-    for label in sorted(catalog.labels()):
+    for label in sorted(catalog):
         case = catalog[label]
         factor = ap_check(case, case.level)
         restricted = restricted_balance(case, case.level)

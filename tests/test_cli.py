@@ -411,6 +411,15 @@ class TestFlagsAndIO:
         assert code == 2 and out == ""
         assert err == f"error: case 'toy-G2-in-B3': {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["classify", "exceptional"], ["conformal", "solve", "--case", "G2-in-B3"]])
+    def test_repeated_catalog_label_is_a_usage_error(self, tmp_path, argv):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps([toy_entry(), toy_entry()]))
+        code, out, err = run(argv + ["--catalog", str(path)])
+        assert code == 2 and out == ""
+        assert err == "error: duplicate label 'toy-G2-in-B3'\n"
+
     def test_missing_catalog_file_is_a_usage_error(self, tmp_path):
         code, out, err = run(
             ["classify", "exceptional", "--catalog", str(tmp_path / "absent.json")]

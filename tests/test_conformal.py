@@ -37,6 +37,7 @@ from lieconf.conformal import (
     MAX_LEVEL_COEFF,
     MAX_LEVEL_ENTRIES,
     _charge_entries,
+    _divisors,
     _level_polynomial,
     _rational_roots,
 )
@@ -50,7 +51,7 @@ from oracles import (
 
 
 def levels_of(case):
-    return solve_levels(case.ambient, case.sub, case.slot_groups)
+    return solve_levels(case.ambient, case.sub)
 
 
 def rational_levels(case):
@@ -156,7 +157,7 @@ class TestSolveLevels:
         assert [str(s) for s in sols] == [
             "-2", "(-19-1*sqrt(269))/23", "(-19+1*sqrt(269))/23"]
         assert sols == sorted(sols, key=lambda s: (s.d, s.p, s.q))
-        assert sols[0].is_rational and sols[1] < sols[2]
+        assert sols[0].is_rational and sols[1].q < 0 < sols[2].q
 
 
 small_roots = st.builds(
@@ -187,9 +188,28 @@ class TestRationalRoots:
         coeffs = [Fraction(c) for c in ints]
         assert sorted(_rational_roots(list(coeffs))) == fraction_rational_roots(coeffs)
 
+    @pytest.mark.parametrize("coeffs, steps", [
+        ([14414400, 1, 14414400], 1),  # no rational root: one search
+        (_from_roots([Fraction(1, 3), Fraction(-5, 2), Fraction(7)], [1]), 3),
+    ])
+    def test_divisors_listed_twice_per_deflation_step(self, monkeypatch, coeffs, steps):
+        # The leading coefficient's divisors are listed once per step, not
+        # once per divisor of the constant (14414400 has 504 divisors).
+        from lieconf import conformal
+
+        calls = []
+
+        def counting(n):
+            calls.append(n)
+            return _divisors(n)
+
+        monkeypatch.setattr(conformal, "_divisors", counting)
+        _rational_roots(list(coeffs))
+        assert 0 < len(calls) <= 2 * steps
+
 
 def _entries(case):
-    return _charge_entries(build_algebra(case.ambient), case.sub, case.slot_groups)
+    return _charge_entries(build_algebra(case.ambient), case.sub)
 
 
 def _dual_pair_grid():
@@ -217,10 +237,10 @@ class TestLevelPolynomial:
             assert _level_polynomial(entries) == fraction_level_polynomial(entries), case.label
 
     def test_catalog_and_excluded_candidates(self):
-        entry_lists = [_entries(case) for case in load_catalog()]
+        entry_lists = [_entries(case) for case in load_catalog().values()]
         for ambient, factors, _levels in EXCLUDED_CANDIDATES:
             sub = SubalgebraSpec(tuple((AlgebraType.parse(t), Fraction(j)) for t, j in factors))
-            entry_lists.append(_charge_entries(build_algebra(ambient), sub, None))
+            entry_lists.append(_charge_entries(build_algebra(ambient), sub))
         assert len(entry_lists) == 15 + len(EXCLUDED_CANDIDATES)
         for entries in entry_lists:
             assert _level_polynomial(entries) == fraction_level_polynomial(entries)
@@ -236,7 +256,7 @@ class TestLevelPolynomial:
     )
     def test_factor_lists_match_and_trip_the_same_cap(self, ambient, factors):
         sub = SubalgebraSpec(tuple((AlgebraType.parse(t), j) for t, j in factors))
-        entries = _charge_entries(build_algebra(ambient), sub, None)
+        entries = _charge_entries(build_algebra(ambient), sub)
         assert len(entries) <= MAX_LEVEL_ENTRIES
         coeffs = fraction_level_polynomial(entries)
         assert _level_polynomial(entries) == coeffs
@@ -254,7 +274,7 @@ class TestLevelPolynomial:
         # itself is too large to build.
         ambient, c40 = AlgebraType.parse("D3200"), AlgebraType.parse("C40")
         sub = SubalgebraSpec(((c40, Fraction(40)), (c40, Fraction(40))))
-        entries = _charge_entries(build_algebra(ambient), sub, None)
+        entries = _charge_entries(build_algebra(ambient), sub)
         assert max(abs(c) for c in fraction_level_polynomial(entries)).bit_length() == 25
         with pytest.raises(SizeError) as info:
             solve_levels(ambient, sub)
@@ -272,6 +292,33 @@ def _solve_excluded(ambient, factors):
         tuple((AlgebraType.parse(t), Fraction(j)) for t, j in factors), label=""
     )
     return solve_levels(ambient, sub)
+
+
+class TestPhysicalFactors:
+    """Each group of ``sub.groups`` enters the charge equation once."""
+
+    @pytest.mark.parametrize("label, levels", [
+        ("spso:2,4", ["-1/2", "5/8"]),  # one term per slot would add -1/4
+        ("soso:4,3", ["-8/19", "1"]),  # ... -2/3
+        ("OO:3,4", ["-3/2", "1"]),  # ... -2
+        ("OO:4,4", ["-2", "1"]),  # -2 stays: both so(4) factors are critical there
+    ])
+    def test_grouped_levels(self, label, levels):
+        case = resolve_case(label, {})
+        assert [str(s) for s in solve_levels(case.ambient, case.sub)] == levels
+
+    def test_bb_keeps_the_groups_of_its_oo_case(self):
+        for n, m in product(range(1, 4), repeat=2):
+            bb = dual_pair_branching("BB", n, m)
+            oo = dual_pair_branching("OO", 2 * n + 1, 2 * m + 1)
+            assert bb.label == f"BB:{n},{m}"
+            assert bb.sub.groups == oo.sub.groups and bb.sub.factors == oo.sub.factors
+
+    def test_slots_of_a_group_must_share_a_critical_level(self):
+        a1, a2 = AlgebraType("A", 1), AlgebraType("A", 2)
+        sub = SubalgebraSpec(((a1, Fraction(1)), (a2, Fraction(1))), groups=((0, 1),))
+        with pytest.raises(LieError, match="must share a critical level"):
+            solve_levels("D5", sub)
 
 
 class TestLevelFlags:
@@ -317,7 +364,7 @@ class TestAPCheck:
             assert balanced and value == 1
 
     def test_methods_agree_on_catalog(self):
-        for case in load_catalog():
+        for case in load_catalog().values():
             a = ap_check(case, case.level)
             b = restricted_balance(case, case.level)
             assert a.per_component == b.per_component

@@ -127,7 +127,23 @@ class TestDualPairConstruction:
     def test_so4_factor_spawns_two_sl2_slots_one_group(self):
         case = dual_pair_branching("soso", 3, 4)
         assert len(case.sub.factors) == 3
-        assert case.slot_groups == ((0,), (1, 2))
+        assert case.sub.groups == ((0,), (1, 2))
+
+    def test_groups_default_to_one_per_slot(self):
+        a1 = AlgebraType("A", 1)
+        assert SubalgebraSpec(((a1, Fraction(1)),) * 3).groups == ((0,), (1,), (2,))
+        assert resolve_case("G2-in-B3", {}).sub.groups == ((0,),)
+
+    @pytest.mark.parametrize("groups", [
+        ((0,),),  # slot 1 left out
+        ((0, 1), (1,)),  # slot 1 twice
+        ((0,), (1,), (2,)),  # no slot 2
+        ((0, 1), ()),  # an empty group
+    ])
+    def test_groups_must_partition_the_slots(self, groups):
+        a1 = AlgebraType("A", 1)
+        with pytest.raises(LieError, match="must partition"):
+            SubalgebraSpec(((a1, Fraction(1)),) * 2, groups=groups)
 
     def test_bad_parameters_rejected(self):
         with pytest.raises(LieError):
@@ -168,7 +184,7 @@ class TestDualPairConstruction:
         # forms of its so(144) ambient, never its roots, form or Weyl data.
         monkeypatch.setattr(liealg, "_build", lru_cache(maxsize=None)(liealg.SimpleAlgebra))
         case = dual_pair_branching("spsp", 6, 6)
-        solve_levels(case.ambient, case.sub, case.slot_groups)
+        solve_levels(case.ambient, case.sub)
         tables = {
             name for name, attr in vars(liealg.SimpleAlgebra).items()
             if isinstance(attr, cached_property)
@@ -284,14 +300,14 @@ class TestCatalog:
     def test_loads_fifteen_unique_cases(self):
         catalog = load_catalog()
         assert len(catalog) == 15
-        assert len(set(catalog.labels())) == 15
+        assert len(set(catalog)) == 15
 
     def test_every_case_dimension_checks(self):
-        for case in load_catalog():
+        for case in load_catalog().values():
             assert case_dims_close(case)
 
     def test_every_case_has_level_and_source(self):
-        for case in load_catalog():
+        for case in load_catalog().values():
             assert case.level is not None
             assert case.label
         with open(embed._SHIPPED_CATALOG, encoding="utf-8") as handle:
@@ -299,6 +315,15 @@ class TestCatalog:
         assert len(document) == 15
         for entry in document:
             assert isinstance(entry["source"], str) and entry["source"]
+
+    def test_repeated_label_rejected(self):
+        with pytest.raises(LieError, match="^duplicate label 'toy-G2-in-B3'$"):
+            load_catalog([toy_entry(), toy_entry()])
+
+    def test_cases_keyed_by_label_in_document_order(self):
+        doc = [toy_entry(label="b"), toy_entry(label="a")]
+        assert list(load_catalog(doc)) == ["b", "a"]
+        assert [case.label for case in load_catalog(doc).values()] == ["b", "a"]
 
     def test_source_is_an_optional_string(self):
         assert "toy-G2-in-B3" in load_catalog([toy_entry(source="Slansky, table 16")])
