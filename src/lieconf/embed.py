@@ -18,16 +18,13 @@ the ambient's own tables are never built.
 
 Every built-in case (the dual-pair families, spsl:n, G2-in-B3 and B3-in-D4)
 states the restriction of a faithful ambient module V, and its branching is
-checked independently when it is built: the adjoint weight multiset is
-rebuilt (exterior/symmetric squares or V (x) V* for the adjoint) and must
-equal the summed characters of k (+) p, which holds exactly when the stated
+checked independently when it is built: the adjoint restricted through V
+(V (x) V* less 1, or the symmetric or exterior square of V) must have the
+summed characters of k (+) p, which holds exactly when the stated
 components are the decomposition, irreducible characters being linearly
-independent.  Both multisets are compared on packed weights: w is the int
-sum_i w_i R**i (Kronecker substitution), so adding weights is adding ints.
-The radix R is odd and exceeds twice every coordinate of every packed
-weight, so the balanced base-R digits give w back: distinct weights get
-distinct ints, and the packed multisets are equal exactly when the weight
-multisets are.  The peel-off decomposition runs only to explain a mismatch.
+independent.  Both are Weyl-invariant, so they are compared by size and at
+the dominant weights of k (+) p alone, the adjoint's multiplicities counted
+from the weights of V; the peel-off runs only to explain a mismatch.
 A case whose adjoint, or any single component of V or of k (+) p, has
 dimension above MAX_MODULE_DIM is refused with SizeError before any weight
 of it is built.
@@ -42,9 +39,8 @@ import os
 import re
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, product, starmap
-from operator import add, mul, sub
+from itertools import chain
+from operator import sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import DUAL_PAIR_FAMILIES
@@ -64,7 +60,9 @@ from .reps import (
     casimir,
     decompose_weight_system,
     dynkin_index,
+    pair_weights,
     product_dim,
+    product_weight_system,
     weyl_dim,
 )
 from .surd import parse_rational
@@ -117,6 +115,11 @@ class SubalgebraSpec(_SubalgebraSpecFields):
             raise LieError("groups must partition the factor slots")
         return super().__new__(cls, factors, label, groups)
 
+    @classmethod
+    def _make(cls, iterable) -> "SubalgebraSpec":
+        # _replace builds through _make: both keep the checks of __new__.
+        return cls(*iterable)
+
     @property
     def algebras(self) -> Tuple[SimpleAlgebra, ...]:
         return tuple(build_algebra(t) for t, _ in self.factors)
@@ -126,10 +129,7 @@ class SubalgebraSpec(_SubalgebraSpecFields):
         return tuple(idx for _, idx in self.factors)
 
     def describe(self) -> str:
-        parts = []
-        for typ, idx in self.factors:
-            parts.append(str(typ) if idx == 1 else f"{typ}^{idx}")
-        return " x ".join(parts)
+        return " x ".join(str(typ) if idx == 1 else f"{typ}^{idx}" for typ, idx in self.factors)
 
 
 class BranchingCase(NamedTuple):
@@ -145,8 +145,7 @@ class BranchingCase(NamedTuple):
         return self.sub.label
 
     def check_dimensions(self) -> None:
-        total = sum(build_algebra(t).dim for t, _ in self.sub.factors)
-        total += self.p_components.dim()
+        total = sum(alg.dim for alg in self.sub.algebras) + self.p_components.dim()
         ambient_dim = build_algebra(self.ambient).dim
         if total != ambient_dim:
             raise LieError(
@@ -220,56 +219,20 @@ def defining_weight(alg: SimpleAlgebra) -> Coords:
 
 
 # ---------------------------------------------------------------------------
-# verification of stated branchings on packed weights
+# verification of stated branchings on dominant weights
 
 
-@lru_cache(maxsize=None)
-def _weight_extent(alg: SimpleAlgebra, lam: Coords) -> int:
-    """Largest |coordinate| of a weight of L(lam)."""
-    return max(map(abs, chain.from_iterable(_weight_system(alg, lam))))
-
-
-@lru_cache(maxsize=None)
-def _packed_weights(alg: SimpleAlgebra, lam: Coords, radix: int, shift: int) -> Tuple[int, ...]:
-    """Weights of L(lam), one per basis vector, packed from coordinate ``shift`` on."""
-    powers = [radix ** (shift + i) for i in range(alg.rank)]
-    return tuple(
-        sum(map(mul, w, powers)) for w, m in _weight_system(alg, lam).items() for _ in range(m)
-    )
-
-
-def _packed_module(
-    algs: Sequence[SimpleAlgebra], comp: Tuple[Coords, ...], radix: int
-) -> Tuple[int, ...]:
-    """Packed weights of an outer tensor product, one per basis vector."""
-    out: Tuple[int, ...] = (0,)
-    shift = 0
-    for alg, lam in zip(algs, comp):
-        if any(lam):
-            out = tuple(starmap(add, product(out, _packed_weights(alg, lam, radix, shift))))
-        shift += alg.rank
-    return out
-
-
-def _unpack(key: int, radix: int, rank: int) -> Coords:
-    """The weight packed as ``key``: its ``rank`` balanced base-``radix`` digits."""
-    half, coords = radix // 2, []
-    for _ in range(rank):
-        key, digit = divmod(key + half, radix)
-        coords.append(digit - half)
-    return tuple(coords)
-
-
-def _adjoint_packed(v: Sequence[int], family: str) -> Counter:
-    """The ambient adjoint over the packed defining module ``v``: V (x) V*
-    minus a trivial summand for sl (A), the symmetric square for sp (C), the
-    exterior square for so (B, D)."""
-    if family == "A":
-        adj = Counter(starmap(sub, product(v, v)))
-        adj[0] -= 1
-        return adj
-    pairs = combinations_with_replacement(v, 2) if family == "C" else combinations(v, 2)
-    return Counter(starmap(add, pairs))
+def _restricted_adjoint(v: Dict[Coords, int], family: str) -> Dict[Coords, int]:
+    """The ambient adjoint over the weights ``v`` of its defining module V:
+    V (x) V* less 1 for sl (A), S^2 V for sp (C), Lambda^2 V for so (B, D)."""
+    if family != "A":
+        return pair_weights(v, "sym" if family == "C" else "alt")
+    adj: Counter = Counter()
+    for mu, m in v.items():
+        for nu, n in v.items():
+            adj[tuple(map(sub, mu, nu))] += m * n
+    adj[(0,) * len(mu)] -= 1
+    return adj
 
 
 def _verify_adjoint_branching(
@@ -282,9 +245,10 @@ def _verify_adjoint_branching(
 
     The adjoint restricted through the faithful module V must have the summed
     characters of each adjoint of k once and p with its multiplicities.  Both
-    sides are packed with the radix R = 2 max(2 |V coordinate|, |k (+) p
-    coordinate|) + 1, which exceeds twice every coordinate of a sum or
-    difference of two V weights and of a k (+) p weight.  The peel names the
+    are Weyl-invariant, so they are equal exactly when they have the same
+    size and the same multiplicity at each dominant weight of k (+) p: the
+    adjoint then matches k (+) p at every weight conjugate to one of those,
+    and the equal sizes leave it no other weight.  The peel names the
     derived components on a mismatch.  Raises `SizeError` when the adjoint
     or a module to be built exceeds `MAX_MODULE_DIM`, and `LieError` on a
     mismatch.
@@ -295,23 +259,37 @@ def _verify_adjoint_branching(
         for slot, alg in enumerate(algs)
     )
     expected.update(p_components)
+    # Every module passes the size cap before any of its weights is built.
+    dims = {comp: product_dim(algs, comp) for comp in chain(module_components, expected)}
+    for dim in dims.values():
+        _check_dim("product dimension", dim)
+    v: Counter = Counter()
+    for comp in module_components:
+        v.update(product_weight_system(algs, comp))
+    family, n = ambient.family, v.total()
+    adjoint_dim = n * n - 1 if family == "A" else n * (n + 1 if family == "C" else n - 1) // 2
 
-    def extent(components) -> int:
-        # Every module passes the size cap before any of its weights is built.
-        for comp in components:
-            _check_dim("product dimension", product_dim(algs, comp))
-        return max(_weight_extent(a, lam) for comp in components for a, lam in zip(algs, comp))
+    def adjoint_mult(nu: Coords) -> int:
+        # sl: V (x) V* less 1 at 0.  sp, so: the ordered pairs of V weights that
+        # sum to nu, the pairs of a weight with itself added or taken away, halved.
+        if family == "A":
+            return sum(m * v.get(tuple(map(sub, mu, nu)), 0) for mu, m in v.items()) - (not any(nu))
+        pairs = sum(m * v.get(tuple(map(sub, nu, mu)), 0) for mu, m in v.items())
+        diag = 0 if any(x % 2 for x in nu) else v.get(tuple(x // 2 for x in nu), 0)
+        return (pairs + diag if family == "C" else pairs - diag) // 2
 
-    radix = 2 * max(2 * extent(module_components), extent(expected)) + 1
-    v = [w for comp in module_components for w in _packed_module(algs, comp, radix)]
-    adj = _adjoint_packed(v, ambient.family)
-    char = Counter(chain.from_iterable(
-        _packed_module(algs, comp, radix) * mult for comp, mult in expected.items()
-    ))
-    if not dict.__eq__(char, adj):  # Counter.__eq__ would compare in a Python loop
-        rank = sum(a.rank for a in algs)
-        unpacked = {_unpack(key, radix, rank): m for key, m in adj.items() if m}
-        derived = decompose_weight_system(algs, unpacked)
+    # k (+) p at its dominant weights, the products of its factors' ones.
+    char: Counter = Counter()
+    for comp, mult in expected.items():
+        dominant: List[Tuple[Coords, int]] = [((), mult)]
+        for alg, lam in zip(algs, comp):
+            top = [(w, k) for w, k in _weight_system(alg, lam).items() if min(w) >= 0]
+            dominant = [(nu + w, m * k) for nu, m in dominant for w, k in top]
+        char.update(dict(dominant))
+    if adjoint_dim != sum(m * dims[comp] for comp, m in expected.items()) or any(
+        adjoint_mult(nu) != m for nu, m in char.items()
+    ):
+        derived = decompose_weight_system(algs, _restricted_adjoint(v, family))
         raise LieError(
             "stated branching disagrees with the recomputed decomposition: "
             f"derived {derived.components}, stated {dict(expected)}"
@@ -347,11 +325,8 @@ def _build_case(
         for i, alg in enumerate(algs)
     ]
     sub = SubalgebraSpec(tuple(zip(types, indices)), label, groups)
-    components: Dict[Tuple[Coords, ...], int] = {}
-    for comp in p_list:
-        components[comp] = components.get(comp, 0) + 1
-    p_decomp = Decomposition(algs, components)
-    case = BranchingCase(ambient, sub, p_decomp, level)
+    components = dict(Counter(p_list))
+    case = BranchingCase(ambient, sub, Decomposition(algs, components), level)
     case.check_dimensions()
     _verify_adjoint_branching(algs, ambient, module_components, components)
     return case

@@ -68,6 +68,11 @@ class AlgebraType(_AlgebraTypeFields):
             raise LieError(f"rank {rank} invalid for family {family} (allowed {lo}..{hi})")
         return super().__new__(cls, family, rank)
 
+    @classmethod
+    def _make(cls, iterable) -> "AlgebraType":
+        # _replace builds through _make: both keep the checks of __new__.
+        return cls(*iterable)
+
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 

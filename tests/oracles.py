@@ -11,7 +11,7 @@ Weyl-dimension table checks the integer one, a convolve-and-peel
 decomposition checks the tensor-product path, `Fraction` Freudenthal over
 every weight and a `Fraction`-height peel check the integer, orbit-driven
 weight systems and decompositions, adjoint branchings rebuilt on
-coordinate-tuple weight dicts check the packed-int branching check,
+coordinate-tuple weight dicts check the dominant-weight branching check,
 `Fraction`-dict direct sums and series products check the integer sums and
 eta-quotient recurrences of the character models and both sides of every
 identity, `Fraction` evaluation at every candidate checks the integer

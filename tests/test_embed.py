@@ -8,7 +8,7 @@ from functools import cached_property, lru_cache
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lieconf.liealg import AlgebraType, LieError, build_algebra
 from lieconf import embed, liealg
@@ -411,6 +411,35 @@ class TestValueTypeContracts:
         b = SubalgebraSpec(tuple(mixed), label=label)
         assert a == b and hash(a) == hash(b)
 
+    @given(
+        st.lists(_FACTOR, min_size=1, max_size=3),
+        st.lists(st.tuples(st.sampled_from(["A1", "G2"]), st.integers(-1, 3)), max_size=4),
+        st.none() | st.lists(st.lists(st.integers(0, 3), max_size=3).map(tuple), max_size=3).map(
+            tuple
+        ),
+    )
+    @example([("A1", 1, 1)] * 2, [("A1", 1)] * 3, None)
+    def test_replace_and_make_keep_the_checks(self, raw, new_raw, groups):
+        # _replace and _make build as the constructor does: a valid value
+        # round-trips, an invalid one raises the constructor's LieError.
+        # The example puts three A1 slots under groups of two: built
+        # unchecked, solve_levels would drop the third slot silently.
+        def outcome(build, *args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except LieError as exc:
+                return str(exc)
+
+        spec = SubalgebraSpec(tuple((AlgebraType.parse(t), Fraction(p, q)) for t, p, q in raw), "s")
+        assert spec._replace() == spec and SubalgebraSpec._make(spec) == spec
+        factors = tuple((AlgebraType.parse(t), Fraction(j)) for t, j in new_raw)
+        want = outcome(SubalgebraSpec, factors, "s", spec.groups)
+        assert outcome(spec._replace, factors=factors) == want
+        want = outcome(SubalgebraSpec, spec.factors, "s", groups)
+        assert outcome(spec._replace, groups=groups) == want
+        want = outcome(SubalgebraSpec, factors, "s", groups)
+        assert outcome(SubalgebraSpec._make, (factors, "s", groups)) == want
+
     @pytest.mark.parametrize("index, shown", [(0, "0"), (Fraction(-1, 2), "-1/2")])
     def test_non_positive_index_keeps_its_message(self, index, shown):
         with pytest.raises(LieError) as info:
@@ -498,18 +527,24 @@ class TestVerifyAdjointBranching:
         assert str(info.value) == message
 
     def test_non_character_multiset_is_rejected(self, monkeypatch):
-        # The restricted adjoint {(1, 0): 1, (0, 0): 1}: under any radix, the
-        # weight (1, 0) packs to 1 and (0, 0) to 0.
-        monkeypatch.setattr(embed, "_adjoint_packed", lambda v, family: Counter({1: 1, 0: 1}))
+        # The stated A2 adjoint plus omega_1 is larger than the restricted
+        # adjoint, whose mismatch-path rebuild is patched to {(1, 0): 1, (0, 0): 1}.
+        monkeypatch.setattr(
+            embed, "_restricted_adjoint", lambda v, family: {(1, 0): 1, (0, 0): 1}
+        )
         with pytest.raises(NotACharacter):
             embed._verify_adjoint_branching((self.A2,), self.A2.type, [((1, 0),)], {((1, 0),): 1})
 
     @pytest.mark.parametrize("family", DUAL_PAIR_FAMILIES)
     def test_packed_check_matches_tuple_oracle_on_grid(self, family):
-        # Every valid cell with n, m <= 6, as stated and with one
-        # same-dimension swap in p: the packed check and the coordinate-tuple
-        # oracle accept the stated branching and reject the mutant with the
-        # same error.
+        # Every valid cell with n, m <= 6, as stated, with one same-dimension
+        # swap in p, and with one p component dropped: the dominant-weight
+        # check and the coordinate-tuple oracle accept the stated branching
+        # and reject both mutants with the same error.  The check is called
+        # directly, so the dimension identity cannot reject the dropped
+        # component first.  On every CC cell, and on the OO cells with n or m
+        # even, p = V1 (x) V2 has no weight at a dominant weight of k's
+        # adjoints, so only the size condition rejects that mutant.
         def verdict(check, *args):
             try:
                 return check(*args)
@@ -520,19 +555,23 @@ class TestVerifyAdjointBranching:
             algs, ambient, module, p = verify_arguments(family, n, m)
             assert verdict(embed._verify_adjoint_branching, algs, ambient, module, p) is None
             assert verdict(tuple_verify_adjoint_branching, algs, ambient, module, p) is None
-            mutant = swap_mutant(algs, p)
-            assert sum(product_dim(algs, c) * k for c, k in mutant.items()) == sum(
+            swapped = swap_mutant(algs, p)
+            assert sum(product_dim(algs, c) * k for c, k in swapped.items()) == sum(
                 product_dim(algs, c) * k for c, k in p.items()
             )
-            packed = verdict(embed._verify_adjoint_branching, algs, ambient, module, mutant)
-            oracle = verdict(tuple_verify_adjoint_branching, algs, ambient, module, mutant)
-            assert packed == oracle
-            assert packed[0] == "LieError", (family, n, m, packed)
+            dropped = Counter(p)
+            dropped[next(iter(p))] -= 1
+            for mutant in (swapped, dict(+dropped)):
+                found = verdict(embed._verify_adjoint_branching, algs, ambient, module, mutant)
+                oracle = verdict(tuple_verify_adjoint_branching, algs, ambient, module, mutant)
+                assert found == oracle
+                assert found[0] == "LieError", (family, n, m, found)
 
     def test_every_grid_cell_is_checked_when_built(self):
-        # Each of the 188 grid cells builds its restricted adjoint once; none
-        # is skipped for its size.
-        with mock.patch.object(embed, "_adjoint_packed", wraps=embed._adjoint_packed) as spy:
+        # Each of the 188 grid cells checks its branching once; none is
+        # skipped for its size.
+        check = embed._verify_adjoint_branching
+        with mock.patch.object(embed, "_verify_adjoint_branching", wraps=check) as spy:
             cells = [
                 dual_pair_branching(f, n, m) for f in DUAL_PAIR_FAMILIES for n, m in grid_cells(f)
             ]

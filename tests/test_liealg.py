@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from lieconf import liealg
 from lieconf.liealg import (
@@ -90,6 +90,23 @@ class TestAlgebraTypeContract:
         with pytest.raises(LieError) as info:
             AlgebraType(family, rank)
         assert str(info.value) == message
+
+    @given(st.sampled_from(all_types()), st.sampled_from("ABCDEFGH"), st.integers(0, 10))
+    @example(AlgebraType("E", 6), "E", 9)
+    def test_replace_and_make_keep_the_checks(self, typ, family, rank):
+        # _replace and _make build as the constructor does: a valid value
+        # round-trips, an invalid one raises the constructor's LieError.
+        def outcome(build, *args, **kwargs):
+            try:
+                return build(*args, **kwargs)
+            except LieError as exc:
+                return str(exc)
+
+        assert typ._replace() == typ and AlgebraType._make(typ) == typ
+        assert outcome(typ._replace, rank=rank) == outcome(AlgebraType, typ.family, rank)
+        want = outcome(AlgebraType, family, rank)
+        assert outcome(typ._replace, family=family, rank=rank) == want
+        assert outcome(AlgebraType._make, (family, rank)) == want
 
     def test_compares_equal_to_the_plain_tuple(self):
         # A NamedTuple: equal, and equal in hash, to the tuple of its fields.
