@@ -25,9 +25,6 @@ from . import CHARACTER_MODELS, DUAL_PAIR_FAMILIES, IDENTITY_NAMES
 if TYPE_CHECKING:
     from .embed import SubalgebraSpec
 
-TABLE2_FAMILIES = ("slsl", "spsp", "soso", "spso", "BB")
-
-
 class UsageError(ValueError):
     """Invalid arguments at the semantic level (exit code 2)."""
 
@@ -243,19 +240,14 @@ def _cmd_branch(args) -> Handler:
     return payload, 0
 
 
-def _resolve(args) -> Any:
-    from .embed import load_catalog, resolve_case
-
-    return resolve_case(args.case, load_catalog(args.catalog))
-
-
 def _cmd_conformal_solve(args) -> Handler:
     from .conformal import level_flags, solve_levels
+    from .embed import load_catalog, resolve_levels
     from .liealg import AlgebraType
 
     if args.case:
-        case = _resolve(args)
-        ambient, sub, label = case.ambient, case.sub, case.label
+        ambient, sub = resolve_levels(args.case, load_catalog(args.catalog))
+        label = sub.label
     elif args.ambient and args.factors:
         ambient = AlgebraType.parse(args.ambient)
         sub = _parse_factors(args.factors)
@@ -285,9 +277,10 @@ def _cmd_conformal_solve(args) -> Handler:
 
 def _cmd_conformal_check(args) -> Handler:
     from .conformal import ap_check
+    from .embed import load_catalog, resolve_case
     from .surd import parse_rational
 
-    case = _resolve(args)
+    case = resolve_case(args.case, load_catalog(args.catalog))
     level = parse_rational(args.level)
     report = ap_check(case, level)
     rows = []
@@ -318,45 +311,22 @@ def _cmd_conformal_check(args) -> Handler:
 def _cmd_classify(args) -> Handler:
     from .conformal import (
         global_report,
-        level_flags,
         search_sl_irreducible,
         search_so_irreducible,
-        solve_levels,
         table1_scan,
+        table2_rows,
         verify_case,
     )
-    from .embed import dual_pair_branching, load_catalog
+    from .embed import load_catalog
     from .liealg import build_algebra
     from .reps import dynkin_index, weyl_dim
 
     which = args.target
     if which == "table2":
-        rows = []
-        for family in TABLE2_FAMILIES:
-            n_lo = 3 if family == "soso" else 2
-            m_lo = 3 if family in ("soso", "spso") else 2
-            for n in range(n_lo, 7):
-                for m in range(m_lo, 7):
-                    case = dual_pair_branching(family, n, m)
-                    sols = solve_levels(case.ambient, case.sub)
-                    crit = [
-                        str(s)
-                        for s in sols
-                        if level_flags(case.ambient, case.sub, s).critical
-                    ]
-                    rows.append(
-                        {
-                            "family": family,
-                            "n": n,
-                            "m": m,
-                            "levels": [str(s) for s in sols],
-                            "critical": crit,
-                        }
-                    )
         payload = {
             "title": "candidate levels for the tensor and direct-sum pair grids",
             "columns": ["family", "n", "m", "levels", "critical"],
-            "rows": rows,
+            "rows": table2_rows(),
         }
         return payload, 0
     if which in ("so-irreducible", "sl-irreducible"):

@@ -36,6 +36,7 @@ from .embed import (
     dual_pair_branching,
     load_catalog,
     resolve_case,
+    resolve_levels,
 )
 from .surd import QuadraticNumber, squarefree_extract
 
@@ -58,6 +59,7 @@ __all__ = [
     "a1_exclusion_survey",
     "EXCLUDED_CANDIDATES",
     "global_report",
+    "table2_rows",
 ]
 
 Rational = Union[int, Fraction]
@@ -495,6 +497,7 @@ def table1_scan(alg: Union[SimpleAlgebra, AlgebraType, str], coord_bound: int) -
     """Nonzero dominant weights with small coordinates, Killing-convention
     Dynkin index < 1, lying in the root lattice."""
     alg = build_algebra(alg)
+    alg._table_rank()  # the scan recurses once per coordinate, and 0 always fits
     if coord_bound < 1:
         raise LieError("coord_bound must be at least 1")
     if coord_bound > MAX_SCAN_BOUND:
@@ -654,6 +657,21 @@ def _family_rows() -> List[Tuple[BranchingCase, Fraction, bool]]:
     for label in [f"spsl:{n}" for n in range(2, 7)] + ["G2-in-B3"]:
         case = resolve_case(label, builtin)
         rows.append((case, case.level, False))
+    return rows
+
+
+def table2_rows() -> List[Dict[str, object]]:
+    """Candidate levels, and the critical ones, of the tensor-pair and BB
+    cells with n, m <= 6, read from each cell's subalgebra alone."""
+    rows: List[Dict[str, object]] = []
+    for family in ("slsl", "spsp", "soso", "spso", "BB"):
+        for n in range(3 if family == "soso" else 2, 7):
+            for m in range(3 if family in ("soso", "spso") else 2, 7):
+                ambient, sub = resolve_levels(f"{family}:{n},{m}", {})
+                sols = solve_levels(ambient, sub)
+                crit = [str(s) for s in sols if level_flags(ambient, sub, s).critical]
+                levels = [str(s) for s in sols]
+                rows.append({"family": family, "n": n, "m": m, "levels": levels, "critical": crit})
     return rows
 
 

@@ -17,14 +17,17 @@ slot's Dynkin index of V over the constant index of V for the ambient, so
 the ambient's own tables are never built.
 
 Every built-in case (the dual-pair families, spsl:n, G2-in-B3 and B3-in-D4)
-states the restriction of a faithful ambient module V, and its branching is
-checked independently when it is built: the adjoint restricted through V
-(V (x) V* less 1, or the symmetric or exterior square of V) must have the
-summed characters of k (+) p, which holds exactly when the stated
-components are the decomposition, irreducible characters being linearly
-independent.  Both are Weyl-invariant, so they are compared by size and at
-the dominant weights of k (+) p alone, the adjoint's multiplicities counted
-from the weights of V; the peel-off runs only to explain a mismatch.
+states the restriction of a faithful ambient module V.  Its candidate
+levels need the subalgebra alone, which :func:`resolve_levels` reads
+without building any weight of V or p.  Every case that is built
+(:func:`dual_pair_branching`, :func:`resolve_case`) has its branching
+checked: the adjoint restricted through V (V (x) V* less 1, or the
+symmetric or exterior square of V) must have the summed characters of
+k (+) p, which holds exactly when the stated components are the
+decomposition, irreducible characters being linearly independent.  Both
+are Weyl-invariant, so they are compared by size and at the dominant
+weights of k (+) p alone, the adjoint's multiplicities counted from the
+weights of V; the peel-off runs only to explain a mismatch.
 A case whose adjoint, or any single component of V or of k (+) p, has
 dimension above MAX_MODULE_DIM is refused with SizeError before any weight
 of it is built.
@@ -62,7 +65,6 @@ from .reps import (
     dynkin_index,
     pair_weights,
     product_dim,
-    product_weight_system,
     weyl_dim,
 )
 from .surd import parse_rational
@@ -75,6 +77,7 @@ __all__ = [
     "defining_weight",
     "load_catalog",
     "resolve_case",
+    "resolve_levels",
     "builtin_labels",
     "DUAL_PAIR_FAMILIES",
 ]
@@ -200,8 +203,9 @@ def _classical_factor(group: str, size: int) -> _Factor:
         vector = ((2,),) if size == 3 else ((1,), (1,))
         types = (_A1,) * len(vector)
     else:
-        typ = _classical_type(group, size)
-        types, vector = (typ,), (fundamental(build_algebra(typ), 1),)
+        alg = build_algebra(_classical_type(group, size))
+        alg._table_rank()  # refused before a weight of that rank is built
+        types, vector = (alg.type,), (fundamental(alg, 1),)
     if group == "so":
         square = (tuple(tuple(2 * x for x in w) for w in vector),)
     elif group == "sp" and size > 2:
@@ -263,9 +267,20 @@ def _verify_adjoint_branching(
     dims = {comp: product_dim(algs, comp) for comp in chain(module_components, expected)}
     for dim in dims.values():
         _check_dim("product dimension", dim)
-    v: Counter = Counter()
-    for comp in module_components:
-        v.update(product_weight_system(algs, comp))
+
+    def weights(components: Dict[Tuple[Coords, ...], int], dominant: bool) -> Counter:
+        # The products of the factors' weights, or of their dominant ones alone.
+        out: Counter = Counter()
+        for comp, mult in components.items():
+            acc: List[Tuple[Coords, int]] = [((), mult)]
+            for alg, lam in zip(algs, comp):
+                ws = [(w, k) for w, k in _weight_system(alg, lam).items()
+                      if not dominant or min(w) >= 0]
+                acc = [(nu + w, m * k) for nu, m in acc for w, k in ws]
+            out.update(dict(acc))
+        return out
+
+    v = weights(Counter(module_components), False)
     family, n = ambient.family, v.total()
     adjoint_dim = n * n - 1 if family == "A" else n * (n + 1 if family == "C" else n - 1) // 2
 
@@ -279,13 +294,7 @@ def _verify_adjoint_branching(
         return (pairs + diag if family == "C" else pairs - diag) // 2
 
     # k (+) p at its dominant weights, the products of its factors' ones.
-    char: Counter = Counter()
-    for comp, mult in expected.items():
-        dominant: List[Tuple[Coords, int]] = [((), mult)]
-        for alg, lam in zip(algs, comp):
-            top = [(w, k) for w, k in _weight_system(alg, lam).items() if min(w) >= 0]
-            dominant = [(nu + w, m * k) for nu, m in dominant for w, k in top]
-        char.update(dict(dominant))
+    char = weights(expected, True)
     if adjoint_dim != sum(m * dims[comp] for comp, m in expected.items()) or any(
         adjoint_mult(nu) != m for nu, m in char.items()
     ):
@@ -296,11 +305,14 @@ def _verify_adjoint_branching(
         )
 
 
+# An unchecked case and the restriction of V that checks it.
+_Parts = Tuple[BranchingCase, Sequence[Tuple[Coords, ...]]]
+
 # Dynkin index of the defining module of an sl, so or sp ambient.
 _DEFINING_INDEX = {"A": Fraction(1, 2), "B": Fraction(1), "C": Fraction(1, 2), "D": Fraction(1)}
 
 
-def _build_case(
+def _case_parts(
     ambient: AlgebraType,
     types: Sequence[AlgebraType],
     p_list: Sequence[Tuple[Coords, ...]],
@@ -308,8 +320,9 @@ def _build_case(
     module_components: Sequence[Tuple[Coords, ...]],
     level: Optional[Fraction] = None,
     groups: Optional[Tuple[Tuple[int, ...], ...]] = None,
-) -> BranchingCase:
-    """A case from the restriction of the ambient's defining module V.
+) -> _Parts:
+    """A case from the restriction of the ambient's defining module V, its
+    branching not yet checked, and that restriction.
 
     Each slot's embedding index is its Dynkin index of V, each component of V
     counted with the dimension of its other slots, over the index of V for
@@ -325,10 +338,15 @@ def _build_case(
         for i, alg in enumerate(algs)
     ]
     sub = SubalgebraSpec(tuple(zip(types, indices)), label, groups)
-    components = dict(Counter(p_list))
-    case = BranchingCase(ambient, sub, Decomposition(algs, components), level)
+    case = BranchingCase(ambient, sub, Decomposition(algs, dict(Counter(p_list))), level)
+    return case, module_components
+
+
+def _checked(case: BranchingCase, module: Sequence[Tuple[Coords, ...]]) -> BranchingCase:
+    """``case`` once its dimensions and its stated branching through V hold."""
     case.check_dimensions()
-    _verify_adjoint_branching(algs, ambient, module_components, components)
+    p = case.p_components
+    _verify_adjoint_branching(p.algebras, case.ambient, module, p.components)
     return case
 
 
@@ -362,14 +380,17 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
       CC: sp(2n) x sp(2m) in sp(2(n+m))
       OO: so(n) x so(m) in so(n+m), n, m >= 3 (any parity; BB delegates here)
     """
+    return _checked(*_pair_parts(family, n, m))
+
+
+def _pair_parts(family: str, n: int, m: int, label: str = "") -> _Parts:
     if family not in DUAL_PAIR_FAMILIES:
         raise LieError(f"unknown dual-pair family {family!r}")
     if n < 1 or m < 1:
         raise LieError("dual-pair parameters must be positive")
-    label = f"{family}:{n},{m}"
+    label = label or f"{family}:{n},{m}"
     if family == "BB":
-        case = dual_pair_branching("OO", 2 * n + 1, 2 * m + 1)
-        return case._replace(sub=case.sub._replace(label=label))
+        return _pair_parts("OO", 2 * n + 1, 2 * m + 1, label)
     if family == "slsl" and (n < 2 or m < 2):
         raise LieError("slsl needs n, m >= 2")
     if family == "spsp" and n * m < 2:
@@ -394,37 +415,7 @@ def dual_pair_branching(family: str, n: int, m: int) -> BranchingCase:
         module = [f1.vector + f2.vector]
     k1, k2 = len(f1.types), len(f2.types)
     groups = (tuple(range(k1)), tuple(range(k1, k1 + k2)))
-    return _build_case(ambient, f1.types + f2.types, p_list, label, module, groups=groups)
-
-
-# ---------------------------------------------------------------------------
-# single-factor built-in cases
-
-
-def _spsl_case(n: int) -> BranchingCase:
-    """sp(2n) in sl(2n): p is the other square of sp(2n), Lambda^2 V less 1."""
-    if n < 2:
-        raise LieError("spsl needs n >= 2")
-    factor = _classical_factor("sp", 2 * n)
-    return _build_case(
-        AlgebraType("A", 2 * n - 1), factor.types, factor.square, f"spsl:{n}", [factor.vector],
-        level=Fraction(-1),
-    )
-
-
-# label: (ambient, factor, highest weight of p, of the restricted V, level)
-_FIXED_CASES = {
-    "G2-in-B3": ("B3", "G2", (1, 0), (1, 0), -2),
-    "B3-in-D4": ("D4", "B3", (1, 0, 0), (0, 0, 1), -2),
-}
-
-
-def _fixed_case(label: str) -> BranchingCase:
-    ambient, factor, p, v, level = _FIXED_CASES[label]
-    return _build_case(
-        AlgebraType.parse(ambient), [AlgebraType.parse(factor)], [(p,)], label, [(v,)],
-        level=Fraction(level),
-    )
+    return _case_parts(ambient, f1.types + f2.types, p_list, label, module, groups=groups)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +586,40 @@ def load_catalog(source=None) -> Dict[str, BranchingCase]:
 
 _FAMILY_LABEL = re.compile(rf"^({'|'.join(DUAL_PAIR_FAMILIES)}):(\d+),(\d+)$")
 _SPSL_LABEL = re.compile(r"^spsl:(\d+)$")
+# label: (ambient, factor, highest weight of p, of the restricted V, level)
+_FIXED_CASES = {
+    "G2-in-B3": ("B3", "G2", (1, 0), (1, 0), -2),
+    "B3-in-D4": ("D4", "B3", (1, 0, 0), (0, 0, 1), -2),
+}
+
+
+def _builtin_parts(label: str) -> _Parts:
+    """The one parser of built-in labels: the case's parts, as `_case_parts` gives them."""
+    if label in _FIXED_CASES:
+        ambient, factor, p, v, level = _FIXED_CASES[label]
+        return _case_parts(
+            AlgebraType.parse(ambient), [AlgebraType.parse(factor)], [(p,)], label, [(v,)],
+            level=Fraction(level),
+        )
+    match = _SPSL_LABEL.match(label)
+    if match:
+        # sp(2n) in sl(2n): p is the other square of sp(2n), Lambda^2 V less 1.
+        n = int(match.group(1))
+        if n < 2:
+            raise LieError("spsl needs n >= 2")
+        factor = _classical_factor("sp", 2 * n)
+        return _case_parts(
+            AlgebraType("A", 2 * n - 1), factor.types, factor.square, f"spsl:{n}",
+            [factor.vector], level=Fraction(-1),
+        )
+    match = _FAMILY_LABEL.match(label)
+    if match:
+        return _pair_parts(match.group(1), int(match.group(2)), int(match.group(3)))
+    raise LieError(
+        f"unknown case label {label!r}; known forms: a catalog label, "
+        "'G2-in-B3', 'B3-in-D4', 'spsl:n', or 'family:n,m' with family in "
+        f"{DUAL_PAIR_FAMILIES}"
+    )
 
 
 def resolve_case(
@@ -604,25 +629,26 @@ def resolve_case(
 
     Catalog labels win; otherwise family labels like ``spso:2,3`` or
     ``spsl:3`` and the fixed labels ``G2-in-B3`` / ``B3-in-D4`` construct the
-    case on the fly.
+    case on the fly and check its branching.
     """
     if catalog is None:
         catalog = load_catalog()
-    if label in catalog:
-        return catalog[label]
-    if label in _FIXED_CASES:
-        return _fixed_case(label)
-    match = _SPSL_LABEL.match(label)
-    if match:
-        return _spsl_case(int(match.group(1)))
-    match = _FAMILY_LABEL.match(label)
-    if match:
-        return dual_pair_branching(match.group(1), int(match.group(2)), int(match.group(3)))
-    raise LieError(
-        f"unknown case label {label!r}; known forms: a catalog label, "
-        "'G2-in-B3', 'B3-in-D4', 'spsl:n', or 'family:n,m' with family in "
-        f"{DUAL_PAIR_FAMILIES}"
-    )
+    return catalog[label] if label in catalog else _checked(*_builtin_parts(label))
+
+
+def resolve_levels(
+    label: str, catalog: Optional[Dict[str, BranchingCase]] = None
+) -> Tuple[AlgebraType, SubalgebraSpec]:
+    """The ambient and subalgebra of a case label, all that its levels depend on.
+
+    Labels resolve as in :func:`resolve_case`, but a built-in case stops at
+    its stated data: no weight of V, p or the ambient is built and no
+    branching is checked, so no module size cap applies.
+    """
+    if catalog is None:
+        catalog = load_catalog()
+    case = catalog[label] if label in catalog else _builtin_parts(label)[0]
+    return case.ambient, case.sub
 
 
 def builtin_labels(catalog: Optional[Dict[str, BranchingCase]] = None) -> List[str]:

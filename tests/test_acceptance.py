@@ -1,5 +1,6 @@
 """Acceptance suite: the seven shipped guarantees and the paper's worked
-examples, one test (and one ``pytest -v`` line) apiece.
+examples, one test (and one ``pytest -v`` line) apiece; criterion 1 has a
+second, on the level data alone.
 
 Every comparison below is exact — integers and rationals only, no floats,
 no tolerances.  Randomized sections draw from a fixed seed so failures
@@ -17,7 +18,7 @@ from lieconf.reps import (
     tensor_decompose,
     weyl_dim,
 )
-from lieconf.embed import dual_pair_branching, load_catalog, resolve_case
+from lieconf.embed import dual_pair_branching, load_catalog, resolve_case, resolve_levels
 from lieconf.conformal import (
     EXCLUDED_CANDIDATES,
     a1_exclusion_check,
@@ -39,10 +40,10 @@ from oracles import check_character, peel_tensor, restricted_balance
 GRID_FAMILIES = ("slsl", "spsp", "soso", "spso", "BB")
 
 
-def _grid():
+def _grid(top=6):
     for family in GRID_FAMILIES:
-        for n in range(2, 7):
-            for m in range(2, 7):
+        for n in range(2, top + 1):
+            for m in range(2, top + 1):
                 if family == "soso" and (n < 3 or m < 3):
                     continue
                 if family == "spso" and m < 3:
@@ -82,6 +83,25 @@ def test_criterion_1_dual_pair_level_grid():
             flags = level_flags(case.ambient, case.sub, k)
             expected = expect_flag and k == flagged_level
             assert bool(flags.critical_factors) == expected, (family, n, m, str(k))
+
+
+def test_criterion_1_closed_forms_from_the_subalgebra_alone():
+    # The levels and flags of every grid cell with n, m <= 12, read from its
+    # level data alone: no p is built for them.
+    cells = 0
+    for family, n, m in _grid(12):
+        ambient, sub = resolve_levels(f"{family}:{n},{m}", {})
+        sols = solve_levels(ambient, sub)
+        assert all(s.is_rational for s in sols), (family, n, m)
+        got = {s.to_fraction() for s in sols}
+        assert got == _expected_levels(family, n, m), (family, n, m)
+        flagged_level, expect_flag = _critical_level(family, n, m)
+        for k in got:
+            flags = level_flags(ambient, sub, k)
+            assert bool(flags.critical_factors) == (expect_flag and k == flagged_level), (
+                family, n, m, str(k))
+        cells += 1
+    assert cells == 573
 
 
 def test_criterion_2_balance_verdicts():

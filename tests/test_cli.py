@@ -9,10 +9,12 @@ import sys
 import time
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import lieconf
+from lieconf import embed
 from lieconf.cli import main
 from lieconf.liealg import build_algebra
 from lieconf.reps import casimir, dynkin_index, weyl_dim
@@ -164,6 +166,21 @@ class TestConformalSolve:
         assert code == 2 and out == ""
         assert "keeps degree 3" in err
 
+    @pytest.mark.parametrize(
+        "label, levels",
+        # so(625) and sl(3600): adjoints of 195000 and 12959999, above MAX_MODULE_DIM
+        [("soso:25,25", ["-23/25", "1"]), ("slsl:60,60", ["-1", "1"])],
+    )
+    def test_levels_need_no_module_of_the_case(self, label, levels):
+        code, doc = run_json(["conformal", "solve", "--case", label])
+        assert code == 0
+        assert [row["level"] for row in doc["rows"]] == levels
+
+    def test_level_polynomial_cap_still_applies_to_a_case(self):
+        code, out, err = run(["conformal", "solve", "--case", "spsp:40,40"])
+        assert code == 2 and out == ""
+        assert "25 bits" in err and "MAX_LEVEL_COEFF" in err
+
 
 class TestConformalCheck:
     def test_balanced_level_exits_zero(self):
@@ -270,6 +287,25 @@ class TestClassify:
         failed = [r["label"] for r in doc["rows"] if r["status"] != "ok"]
         assert failed == [f"{entry['label']}@-5"]
 
+    @pytest.mark.parametrize(
+        "argv, checks",
+        [
+            (["branch", "dual-pair", "spsp", "2", "3"], 1),
+            (["conformal", "check", "--case", "spso:2,3", "--level", "-1/2"], 1),
+            (["conformal", "check", "--case", "G2-in-B3", "--level", "-2"], 1),
+            (["classify", "global"], 83),
+            (["conformal", "solve", "--case", "spso:2,3"], 0),
+            (["classify", "table2"], 0),
+        ],
+    )
+    def test_a_branching_is_checked_exactly_when_p_is_read(self, argv, checks):
+        # The global report reads p of its 83 built-in rows; candidate levels
+        # read the subalgebra alone.
+        check = embed._verify_adjoint_branching
+        with mock.patch.object(embed, "_verify_adjoint_branching", wraps=check) as spy:
+            code = run(argv)[0]
+        assert code == 0 and spy.call_count == checks
+
     def test_global_report_is_deterministic(self):
         _, first, _ = run(["--format", "json", "classify", "global"])
         _, second, _ = run(["--format", "json", "classify", "global"])
@@ -301,6 +337,11 @@ class TestClassify:
         # so(6400) and so(625): adjoints of 20476800 and 195000
         (["branch", "dual-pair", "spsp", "40", "40"], "MAX_MODULE_DIM"),
         (["branch", "dual-pair", "soso", "25", "25"], "MAX_MODULE_DIM"),
+        # the scan recurses once per coordinate; A9999999 is refused before
+        # any of its weights is built
+        (["classify", "table1", "A1200"], "MAX_TABLE_RANK"),
+        (["conformal", "solve", "--case", "slsl:10000000,2"], "MAX_TABLE_RANK"),
+        (["branch", "dual-pair", "slsl", "10000000", "2"], "MAX_TABLE_RANK"),
     ],
 )
 def test_size_above_a_cap_fails_at_once(argv, cap):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from lieconf.liealg import AlgebraType, LieError, build_algebra
-from lieconf import embed, liealg
+from lieconf import embed, liealg, reps
 from lieconf.conformal import solve_levels
 from lieconf.reps import NotACharacter, freudenthal_weights, irreps_of_dim, product_dim, weyl_dim
 from lieconf.embed import (
@@ -23,6 +23,7 @@ from lieconf.embed import (
     embedding_index,
     load_catalog,
     resolve_case,
+    resolve_levels,
 )
 from oracles import tuple_verify_adjoint_branching
 
@@ -228,6 +229,37 @@ class TestSingleCases:
             resolve_case("slsl:2")
         with pytest.raises(LieError):
             resolve_case("unknown-case")
+
+
+class TestLevelData:
+    LABELS = [
+        f"{family}:{n},{m}" for family in DUAL_PAIR_FAMILIES for n, m in grid_cells(family)
+    ] + [f"spsl:{n}" for n in range(2, 7)] + ["G2-in-B3", "B3-in-D4"]
+
+    def test_level_data_is_the_checked_case_s(self, monkeypatch):
+        # The same ambient and subalgebra (factors, indices, groups, label) as
+        # the checked case, read without building a weight or checking p.
+        cases = {label: resolve_case(label, {}) for label in self.LABELS}
+        for name in ("_verify_adjoint_branching", "_weight_system"):
+            monkeypatch.setattr(embed, name, mock.Mock(side_effect=AssertionError(name)))
+        for label, case in cases.items():
+            ambient, sub = resolve_levels(label, {})
+            assert (ambient, sub) == (case.ambient, case.sub), label
+            assert (sub.indices, sub.groups, sub.label) == (
+                case.sub.indices, case.sub.groups, case.label), label
+        assert len(cases) == 188 + 5 + 2
+
+    def test_catalog_labels_win(self):
+        case = load_catalog()["G2xF4-in-E8"]
+        assert resolve_levels("G2xF4-in-E8") == (case.ambient, case.sub)
+
+    @pytest.mark.parametrize("label", ["slsl:2", "slsl:1,2", "spsl:1", "BB:0,1", "soso:2,3", "x"])
+    def test_bad_label_has_the_checked_resolver_s_message(self, label):
+        with pytest.raises(LieError) as levels:
+            resolve_levels(label, {})
+        with pytest.raises(LieError) as checked:
+            resolve_case(label, {})
+        assert str(levels.value) == str(checked.value)
 
 
 class TestEmbeddingIndex:
@@ -566,6 +598,19 @@ class TestVerifyAdjointBranching:
                 oracle = verdict(tuple_verify_adjoint_branching, algs, ambient, module, mutant)
                 assert found == oracle
                 assert found[0] == "LieError", (family, n, m, found)
+
+    def test_each_weight_is_validated_once_per_check(self):
+        # Every (component, slot) weight of V and of k (+) p passes
+        # _check_dominant once, in the size pass before any weight is built.
+        algs, ambient, module, p = verify_arguments("spsp", 6, 6)
+        zero = (0,) * 6
+        adjoints = [(algs[0].theta, zero), (zero, algs[1].theta)]
+        with mock.patch.object(reps, "_check_dominant", wraps=reps._check_dominant) as spy:
+            embed._verify_adjoint_branching(algs, ambient, module, p)
+        validated = Counter((call.args[0], tuple(call.args[1])) for call in spy.call_args_list)
+        assert validated == Counter(
+            (alg, lam) for comp in [*module, *adjoints, *p] for alg, lam in zip(algs, comp)
+        )
 
     def test_every_grid_cell_is_checked_when_built(self):
         # Each of the 188 grid cells checks its branching once; none is
