@@ -10,7 +10,7 @@ produce the known survivor lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .liealg import (
@@ -38,7 +38,7 @@ from .embed import (
     resolve_case,
     resolve_levels,
 )
-from .surd import QuadraticNumber, squarefree_extract
+from .surd import QuadraticNumber
 
 __all__ = [
     "central_charge",
@@ -70,17 +70,18 @@ Level = Union[int, Fraction, QuadraticNumber]
 # B_n and C_n for every n up to the rank bound (about 0.7 s at rank 20).
 MAX_SCAN_BOUND = 100
 MAX_SEARCH_RANK = 20
-# Cap on the cleared charge-matching polynomial: the rational-root search
-# trial-divides its end coefficients and the surd step its discriminant.
-# The shipped cases and the dual-pair grids up to n, m = 8 stay below 2**16;
-# the worst case under the cap (end coefficients with 504 divisors, no
-# rational root) takes about 0.04 s.
+# Cap on the level solver's trial divisions: the divisor search of a cubic
+# or more needs end coefficients up to MAX_LEVEL_COEFF, and a non-square
+# discriminant is factored only up to MAX_LEVEL_COEFF**2.  Every shipped,
+# catalog and Table-2 equation is a quadratic at most and needs neither.
+# Worst cases under the cap: 504-divisor ends with no rational root, 0.06 s
+# at degree 4 and 0.2 s at degree 31; a prime discriminant near 2**48, 0.01 s.
 MAX_LEVEL_COEFF = 2**24
 # Cap on the charge entries (physical factors plus the ambient): the
 # polynomial build takes O(N^2) steps on integers of about N times the bits of
-# the poles' common denominator, and runs before the coefficient cap can be
-# checked.  Shipped, benchmarked and tested cases have at most five entries;
-# the worst case under the cap (32 entries, 40-bit indices) takes about 0.15 s.
+# the poles' common denominator, and runs before either trial division.
+# Shipped, benchmarked and tested cases have at most five entries; the worst
+# case under the cap (32 entries, 40-bit indices) takes about 0.15 s.
 MAX_LEVEL_ENTRIES = 32
 
 
@@ -112,8 +113,9 @@ def central_charge(alg: Union[SimpleAlgebra, AlgebraType, str], k: Level):
 #
 # Matching central charges, sum_j c_{j_j k}(k_j) = c_k(g), clears to a
 # polynomial once multiplied by every factor's (j_j k + h_j) and the ambient
-# (k + h_g).  The always-present root k = 0 is removed; remaining rational
-# roots are deflated and anything left of degree two is solved in surds.
+# (k + h_g).  The always-present root k = 0 is removed; rational roots are
+# deflated while the degree is 3 or more, and what is left is solved in
+# closed form.
 # Linear forms are kept once per *physical* factor, a group of
 # SubalgebraSpec.groups (an so(4) factor contributes a single form even though
 # it is presented as two sl(2) slots), so a coincidence of candidate root and
@@ -157,24 +159,25 @@ def _divisors(n: int) -> List[int]:
     return small + large[::-1]
 
 
-def _rational_roots(coeffs: List[Rational]) -> List[Fraction]:
-    """All rational roots with multiplicity, deflating as found; mutates coeffs.
+def _real_roots(ints: Sequence[int]) -> List[QuadraticNumber]:
+    """Real roots with multiplicity of a non-zero integer polynomial, constant first.
 
-    The coefficients are cleared to a primitive integer polynomial, which
-    deflation keeps primitive (Gauss's lemma).  A root p/q in lowest terms
-    has p dividing its constant and q its leading coefficient (the rational
-    root theorem).
+    Zero roots come off first.  While the degree is 3 or more, rational roots
+    p/q are deflated, p dividing the constant and q the leading coefficient
+    (the rational root theorem), else LieError; the rest is solved in closed
+    form.  SizeError comes before a trial division above MAX_LEVEL_COEFF.
     """
-    scale = lcm(*(Fraction(c).denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    content = gcd(*ints) or 1
-    coeffs[:] = [c // content for c in ints]
-    roots: List[Fraction] = []
-    while len(coeffs) > 1:
-        if coeffs[0] == 0:
-            roots.append(Fraction(0))
-            del coeffs[0]
-            continue
+    zeros = next(i for i, c in enumerate(ints) if c)
+    content = gcd(*ints)
+    coeffs = [c // content for c in ints[zeros:]]
+    roots = [QuadraticNumber(0)] * zeros
+    while len(coeffs) > 3:
+        ends = max(abs(coeffs[0]), abs(coeffs[-1]))
+        if ends > MAX_LEVEL_COEFF:
+            raise SizeError(
+                f"cleared polynomial of degree {len(coeffs) - 1} has an end coefficient of "
+                f"{ends.bit_length()} bits; its divisor search exceeds the cap "
+                f"MAX_LEVEL_COEFF = 2**{MAX_LEVEL_COEFF.bit_length() - 1}")
         leading = _divisors(coeffs[-1])
         found = next(
             (
@@ -188,21 +191,30 @@ def _rational_roots(coeffs: List[Rational]) -> List[Fraction]:
             None,
         )
         if found is None:
-            return roots
-        roots.append(Fraction(*found))
-        coeffs[:] = _deflate(coeffs, *found)
+            raise LieError(
+                f"cleared polynomial keeps degree {len(coeffs) - 1} after rational-root "
+                "removal; roots are not expressible in quadratic surds")
+        roots.append(QuadraticNumber(Fraction(*found)))
+        coeffs = _deflate(coeffs, *found)
+    if len(coeffs) == 2:
+        roots.append(QuadraticNumber(Fraction(-coeffs[0], coeffs[1])))
+    elif len(coeffs) == 3:
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        s = isqrt(max(disc, 0))
+        # A square discriminant gives rational roots; QuadraticNumber
+        # extracts the square part of any other.
+        surd, d = (s, 1) if s * s == disc else (1, disc)
+        if d > MAX_LEVEL_COEFF**2:
+            raise SizeError(
+                f"cleared quadratic has a non-square discriminant of {disc.bit_length()} "
+                "bits; extracting its square part exceeds the cap MAX_LEVEL_COEFF**2 = "
+                f"2**{2 * (MAX_LEVEL_COEFF.bit_length() - 1)}")
+        if disc >= 0:
+            roots.extend(
+                QuadraticNumber(Fraction(-b, 2 * a), Fraction(sign * surd, 2 * a), d)
+                for sign in (1, -1))
     return roots
-
-
-def _quadratic_solutions(coeffs: Sequence[int]) -> List[QuadraticNumber]:
-    """Roots of a quadratic with integer coefficients, as surds; [] if complex."""
-    c, b, a = coeffs
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    s, d = squarefree_extract(disc)
-    p = Fraction(-b, 2 * a)
-    return [QuadraticNumber(p, Fraction(sign * s, 2 * a), d) for sign in (1, -1)]
 
 
 def _charge_entries(
@@ -258,8 +270,8 @@ def solve_levels(
     Roots at which a factor or the ambient algebra is critical are included;
     flag them with :func:`level_flags`.  Raises when more than a quadratic
     remains after rational-root deflation, and SizeError above
-    MAX_LEVEL_ENTRIES physical factors or when a cleared coefficient exceeds
-    MAX_LEVEL_COEFF.
+    MAX_LEVEL_ENTRIES physical factors or before a trial division above
+    MAX_LEVEL_COEFF (see :func:`_real_roots`).
     """
     ambient = build_algebra(ambient)
     entries = _charge_entries(ambient, sub)
@@ -270,22 +282,7 @@ def solve_levels(
     coeffs = _level_polynomial(entries)
     if not coeffs:
         raise LieError("charge-matching equation is identically zero")
-    biggest = max(map(abs, coeffs))
-    if biggest > MAX_LEVEL_COEFF:
-        raise SizeError(
-            f"cleared level polynomial has a coefficient of {biggest.bit_length()} bits; "
-            f"it exceeds the cap MAX_LEVEL_COEFF = 2**{MAX_LEVEL_COEFF.bit_length() - 1}")
-    solutions = [QuadraticNumber(r) for r in _rational_roots(coeffs) if r != 0]
-    # What deflation leaves has no rational root: a constant, or a quadratic
-    # whose roots are irrational or complex.
-    if len(coeffs) - 1 >= 3:
-        raise LieError(
-            f"cleared polynomial keeps degree {len(coeffs) - 1} after "
-            "rational-root removal; roots are not expressible in quadratic surds"
-        )
-    if len(coeffs) - 1 == 2:
-        solutions.extend(_quadratic_solutions(coeffs))
-    return sorted(set(solutions), key=lambda s: (s.d, s.p, s.q))
+    return sorted({r for r in _real_roots(coeffs) if r}, key=lambda s: (s.d, s.p, s.q))
 
 
 class LevelFlags(NamedTuple):
@@ -442,8 +439,9 @@ def search_so_irreducible() -> List[IrreducibleFinding]:
         lam2 = casimir(alg, mu)
         d, h = alg.dim, alg.dual_coxeter
         # lam2 v^2 + (lam2 d - lam2 - 2 d h) v + (8 d h - 4 lam2 d) = 0
-        roots = _rational_roots([8 * d * h - 4 * lam2 * d, lam2 * d - lam2 - 2 * d * h, lam2])
-        for v in (int(r) for r in roots if r.denominator == 1 and r > 4):
+        coeffs = [8 * d * h - 4 * lam2 * d, lam2 * d - lam2 - 2 * d * h, lam2]
+        roots = _real_roots([int(c * lam2.denominator) for c in coeffs])
+        for v in (int(r.p) for r in roots if r.is_rational and r.p.denominator == 1 and r.p > 4):
             numer = v * (v - 1) // 2 - d
             dim_mu = weyl_dim(alg, mu)
             if numer <= 0 or numer % dim_mu:
@@ -545,12 +543,11 @@ def a1_exclusion_check(d: Rational, k: Level) -> A1ExclusionResult:
         return A1ExclusionResult(None, None, False, False)
 
     n, m = dk.numerator, dk.denominator
-    if max(abs(n), m) > MAX_LEVEL_COEFF:
-        raise SizeError(f"d k = {dk} has a part above the cap MAX_LEVEL_COEFF = {MAX_LEVEL_COEFF}")
 
     def integer_root(coeffs: List[int]) -> Optional[int]:
-        roots = _rational_roots(coeffs)
-        return next((int(r) for r in roots if r.denominator == 1 and r >= 2), None)
+        roots = _real_roots(coeffs)
+        return next(
+            (int(r.p) for r in roots if r.is_rational and r.p.denominator == 1 and r.p >= 2), None)
 
     # l^2 + 2 l - 4 (d k + 1) = 0 and l^2 - 4 d k - 9 = 0, times m and constant
     # first; at the critical d k = -1 and -2 neither has an integer root l >= 2.

@@ -63,9 +63,10 @@ class AlgebraType(_AlgebraTypeFields):
     def __new__(cls, family: str, rank: int) -> "AlgebraType":
         if family not in _MIN_RANK:
             raise LieError(f"unknown family {family!r} (expected one of A..G)")
-        lo, hi = _MIN_RANK[family], _MAX_RANK.get(family, 10 ** 9)
-        if not lo <= rank <= hi:
-            raise LieError(f"rank {rank} invalid for family {family} (allowed {lo}..{hi})")
+        lo, hi = _MIN_RANK[family], _MAX_RANK.get(family)
+        if rank < lo or hi is not None and rank > hi:
+            allowed = f"{lo} and up" if hi is None else f"{lo}..{hi}"
+            raise LieError(f"rank {rank} invalid for family {family} (allowed {allowed})")
         return super().__new__(cls, family, rank)
 
     @classmethod

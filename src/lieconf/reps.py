@@ -14,7 +14,7 @@ import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, compress
 from operator import add
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
@@ -82,13 +82,29 @@ def weyl_dim(alg: SimpleAlgebra, lam: Sequence[Rational]) -> int:
 
 
 @lru_cache(maxsize=None)
+def _weyl_columns(
+    alg: SimpleAlgebra,
+) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
+    """The `_weyl_data` rows by column, (root, entry) for each non-zero entry,
+    and each row's value at rho."""
+    rows = _weyl_data(alg)[0]
+    columns = tuple(tuple(compress(enumerate(col), col)) for col in zip(*rows))
+    return columns, tuple(map(sum, rows))
+
+
+@lru_cache(maxsize=None)
 def _weyl_dim_cached(alg: SimpleAlgebra, lam: Coords) -> int:
-    rows, denom = _weyl_data(alg)
-    shifted = tuple(x + 1 for x in lam)
-    num = 1
-    for row in rows:
-        num *= sum(r * s for r, s in zip(row, shifted))
-    q, r = divmod(num, denom)
+    # Only the roots that meet lam's support move (lam + rho, alpha) off
+    # (rho, alpha); every other factor cancels its own denominator.
+    columns, at_rho = _weyl_columns(alg)
+    shifts: Dict[int, int] = {}
+    for column, x in zip(columns, lam):
+        if x:
+            for r, entry in column:
+                shifts[r] = shifts.get(r, 0) + entry * x
+    num = math.prod(at_rho[r] + shift for r, shift in shifts.items())
+    den = math.prod(at_rho[r] for r in shifts)
+    q, r = divmod(num, den)
     if r:
         raise LieError(f"non-integral Weyl dimension for {lam} of {alg.type}")
     return q

@@ -7,32 +7,34 @@ the symmetrized Cartan matrix and a `Fraction` Gauss-Jordan inverse check
 the integer invariant form built from the adjugate, alternating Weyl-orbit
 sums check character data, a quadratic-time Euler product and the
 pentagonal-number expansion check the integer Euler product, the `Fraction`
-Weyl-dimension table checks the integer one, a convolve-and-peel
-decomposition checks the tensor-product path, `Fraction` Freudenthal over
-every weight and a `Fraction`-height peel check the integer, orbit-driven
-weight systems and decompositions, adjoint branchings rebuilt on
-coordinate-tuple weight dicts check the dominant-weight branching check,
-`Fraction`-dict direct sums and series products check the integer sums and
-eta-quotient recurrences of the character models and both sides of every
-identity, `Fraction` evaluation at every candidate checks the integer
-rational-root search of the level solver, perfect squares by `math.isqrt`
-check the integer roots of the sl(2)-summand test, a `Fraction` polynomial
-product checks its integer level polynomial, and the balance criterion
-evaluated at the ambient level, with every factor's Casimir and dual Coxeter
-number rescaled by its embedding index, checks the library's evaluation at
-the factor levels and its criticality flags. They are deliberately slow and
-simple.
+Weyl-dimension table checks the integer one, a dense product over every
+positive root checks the Weyl dimension's product over the roots that meet
+the weight's support, a convolve-and-peel decomposition checks the
+tensor-product path, `Fraction` Freudenthal over every weight and a
+`Fraction`-height peel check the integer, orbit-driven weight systems and
+decompositions, adjoint branchings rebuilt on coordinate-tuple weight dicts
+check the dominant-weight branching check, `Fraction`-dict direct sums and
+series products check the integer sums and eta-quotient recurrences of the
+character models and both sides of every identity, `Fraction` evaluation at
+every candidate checks the integer rational-root search, a divisor search to
+the last rational root plus the quadratic formula checks the level solver's
+closed form, perfect squares by `math.isqrt` check the integer roots of the
+sl(2)-summand test, a `Fraction` polynomial product checks its integer level
+polynomial, and the balance criterion evaluated at the ambient level, with
+every factor's Casimir and dual Coxeter number rescaled by its embedding
+index, checks the library's evaluation at the factor levels and its
+criticality flags. They are deliberately slow and simple.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import add
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
-from lieconf.conformal import APReport, LevelFlags
+from lieconf.conformal import APReport, LevelFlags, _deflate, _divisors, _scaled_value
 from lieconf.liealg import AlgebraType, LieError, SimpleAlgebra, build_algebra
 from lieconf.qseries import CHARACTER_MODELS, IDENTITY_NAMES, PuiseuxSeries, SeriesError
 from lieconf.reps import (
@@ -44,9 +46,12 @@ from lieconf.reps import (
     product_weight_system,
     split_coords,
     weyl_dim,
+    _weyl_data,
 )
+from lieconf.surd import QuadraticNumber, squarefree_extract
 
 Coords = Tuple[int, ...]
+Rational = Union[int, Fraction]
 
 
 def alternating_orbit_sum(
@@ -279,6 +284,21 @@ def fraction_weyl_dim(alg: SimpleAlgebra, lam: Coords) -> int:
     if value.denominator != 1:
         raise ValueError(f"non-integral Weyl dimension for {lam} of {alg.type}")
     return int(value)
+
+
+def dense_weyl_dim(alg: SimpleAlgebra, lam: Coords) -> int:
+    """prod over positive roots of (lam + rho, alpha) / (rho, alpha) from the
+    integer `_weyl_data` rows: every factor a full dot product with lam + rho,
+    divided once by the product of all of them at rho."""
+    rows, denom = _weyl_data(alg)
+    shifted = tuple(x + 1 for x in lam)
+    num = 1
+    for row in rows:
+        num *= sum(r * s for r, s in zip(row, shifted))
+    q, r = divmod(num, denom)
+    if r:
+        raise ValueError(f"non-integral Weyl dimension for {lam} of {alg.type}")
+    return q
 
 
 @lru_cache(maxsize=None)
@@ -637,6 +657,76 @@ def fraction_rational_roots(coeffs: Sequence[Fraction]) -> List[Fraction]:
             quotient.append(carry)
         coeffs = quotient[::-1]
     return sorted(roots)
+
+
+# ---------------------------------------------------------------------------
+# real roots by divisor search to the last rational root
+
+
+def divisor_search_rational_roots(coeffs: List[Rational]) -> List[Fraction]:
+    """All rational roots with multiplicity, deflating as found; mutates coeffs.
+
+    The coefficients are cleared to a primitive integer polynomial, which
+    deflation keeps primitive (Gauss's lemma).  A root p/q in lowest terms
+    has p dividing its constant and q its leading coefficient (the rational
+    root theorem).  The search runs at every degree, quadratics included, and
+    leaves the rational-root-free remainder in ``coeffs``.
+    """
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    ints = [int(c * scale) for c in coeffs]
+    content = gcd(*ints) or 1
+    coeffs[:] = [c // content for c in ints]
+    roots: List[Fraction] = []
+    while len(coeffs) > 1:
+        if coeffs[0] == 0:
+            roots.append(Fraction(0))
+            del coeffs[0]
+            continue
+        leading = _divisors(coeffs[-1])
+        found = next(
+            (
+                (p, q)
+                for p_abs in _divisors(coeffs[0])
+                for q in leading
+                if gcd(p_abs, q) == 1
+                for p in (p_abs, -p_abs)
+                if _scaled_value(coeffs, p, q) == 0
+            ),
+            None,
+        )
+        if found is None:
+            return roots
+        roots.append(Fraction(*found))
+        coeffs[:] = _deflate(coeffs, *found)
+    return roots
+
+
+def quadratic_surds(coeffs: Sequence[int]) -> List[QuadraticNumber]:
+    """Roots of a quadratic with integer coefficients, as surds; [] if complex."""
+    c, b, a = coeffs
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    s, d = squarefree_extract(disc)
+    p = Fraction(-b, 2 * a)
+    return [QuadraticNumber(p, Fraction(sign * s, 2 * a), d) for sign in (1, -1)]
+
+
+def divisor_search_real_roots(ints: Sequence[int]) -> List[QuadraticNumber]:
+    """Real roots with multiplicity of an integer polynomial, constant first:
+    every rational root by `divisor_search_rational_roots`, then
+    `quadratic_surds` on a remainder of degree 2.  Raises LieError, as
+    `lieconf.conformal._real_roots` does, when a larger remainder is left."""
+    coeffs = list(ints)
+    roots = [QuadraticNumber(r) for r in divisor_search_rational_roots(coeffs)]
+    if len(coeffs) - 1 >= 3:
+        raise LieError(
+            f"cleared polynomial keeps degree {len(coeffs) - 1} after "
+            "rational-root removal; roots are not expressible in quadratic surds"
+        )
+    if len(coeffs) == 3:
+        roots.extend(quadratic_surds(coeffs))
+    return roots
 
 
 # ---------------------------------------------------------------------------

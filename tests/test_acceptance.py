@@ -86,10 +86,12 @@ def test_criterion_1_dual_pair_level_grid():
 
 
 def test_criterion_1_closed_forms_from_the_subalgebra_alone():
-    # The levels and flags of every grid cell with n, m <= 12, read from its
-    # level data alone: no p is built for them.
-    cells = 0
-    for family, n, m in _grid(12):
+    # The levels and flags of every grid cell with n, m <= 20, and of the
+    # spsp block 33 <= n, m <= 40 whose cleared quadratics reach 25-bit
+    # coefficients, read from their level data alone: no p is built for them.
+    cells = list(_grid(20)) + [("spsp", n, m) for n in range(33, 41) for m in range(33, 41)]
+    assert len(cells) == 1749 + 64
+    for family, n, m in cells:
         ambient, sub = resolve_levels(f"{family}:{n},{m}", {})
         sols = solve_levels(ambient, sub)
         assert all(s.is_rational for s in sols), (family, n, m)
@@ -100,8 +102,6 @@ def test_criterion_1_closed_forms_from_the_subalgebra_alone():
             flags = level_flags(ambient, sub, k)
             assert bool(flags.critical_factors) == (expect_flag and k == flagged_level), (
                 family, n, m, str(k))
-        cells += 1
-    assert cells == 573
 
 
 def test_criterion_2_balance_verdicts():

@@ -18,7 +18,13 @@ from lieconf import embed
 from lieconf.cli import main
 from lieconf.liealg import build_algebra
 from lieconf.reps import casimir, dynkin_index, weyl_dim
-from test_embed import BAD_CATALOG_FIELDS, BAD_CATALOG_IDS, toy_entry
+from test_embed import (
+    BAD_CATALOG_DOCUMENT_IDS,
+    BAD_CATALOG_DOCUMENTS,
+    BAD_CATALOG_FIELDS,
+    BAD_CATALOG_IDS,
+    toy_entry,
+)
 
 
 def run(argv):
@@ -176,10 +182,26 @@ class TestConformalSolve:
         assert code == 0
         assert [row["level"] for row in doc["rows"]] == levels
 
-    def test_level_polynomial_cap_still_applies_to_a_case(self):
-        code, out, err = run(["conformal", "solve", "--case", "spsp:40,40"])
-        assert code == 2 and out == ""
-        assert "25 bits" in err and "MAX_LEVEL_COEFF" in err
+    def test_spsp_40_40_solves_without_trial_division(self):
+        # a quadratic with 25-bit coefficients and a square discriminant
+        code, doc = run_json(["conformal", "solve", "--case", "spsp:40,40"])
+        assert code == 0
+        rows = [(row["level"], row["critical_factors"]) for row in doc["rows"]]
+        assert rows == [("-41/40", [0, 1]), ("1", [])]
+
+    @pytest.mark.parametrize(
+        "ambient, factors, level",
+        [
+            ("A100000000", "A1", "-200000003/100000003"),
+            ("A1", "A10000000", "-20000003/10000003"),
+            ("E8", "A1^10000000000000", "56249999999969/153125000000000"),
+        ],
+    )
+    def test_linear_equation_with_huge_coefficients_solves_at_once(self, ambient, factors, level):
+        start = time.perf_counter()
+        code, doc = run_json(["conformal", "solve", "--ambient", ambient, "--factors", factors])
+        assert code == 0 and [row["level"] for row in doc["rows"]] == [level]
+        assert time.perf_counter() - start < 1.0
 
 
 class TestConformalCheck:
@@ -322,10 +344,18 @@ class TestClassify:
         (["rep", "dim", "D101", ",".join(["0"] * 101)], "MAX_TABLE_RANK"),
         (["classify", "table1", "B3", "--bound", "1000000"], "MAX_SCAN_BOUND"),
         (["classify", "sl-irreducible", "--max-rank", "1000"], "MAX_SEARCH_RANK"),
-        (["conformal", "solve", "--ambient", "A100000000", "--factors", "A1"], "MAX_LEVEL_COEFF"),
-        (["conformal", "solve", "--ambient", "A1", "--factors", "A10000000"], "MAX_LEVEL_COEFF"),
+        # a cubic and a quartic with 50- and 52-bit end coefficients, and a
+        # quadratic with a 103-bit non-square discriminant
         (
-            ["conformal", "solve", "--ambient", "E8", "--factors", "A1^10000000000000"],
+            ["conformal", "solve", "--ambient", "E8", "--factors", "A1^10000000000000,A1,A1"],
+            "MAX_LEVEL_COEFF",
+        ),
+        (
+            ["conformal", "solve", "--ambient", "E8", "--factors", "A1^10000000000000,A1,A1,A1"],
+            "MAX_LEVEL_COEFF",
+        ),
+        (
+            ["conformal", "solve", "--ambient", "E8", "--factors", "A1^10000000000000,A1"],
             "MAX_LEVEL_COEFF",
         ),
         (
@@ -451,6 +481,15 @@ class TestFlagsAndIO:
         code, out, err = run(["classify", "exceptional", "--catalog", str(path)])
         assert code == 2 and out == ""
         assert err == f"error: case 'toy-G2-in-B3': {message}\n"
+
+    @pytest.mark.parametrize(
+        "name, document, message", BAD_CATALOG_DOCUMENTS, ids=BAD_CATALOG_DOCUMENT_IDS)
+    def test_malformed_catalog_document_is_a_usage_error(self, tmp_path, name, document, message):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(document))
+        code, out, err = run(["classify", "exceptional", "--catalog", str(path)])
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
         ["classify", "exceptional"], ["conformal", "solve", "--case", "G2-in-B3"]])

@@ -4,6 +4,7 @@ classification searches, and the global report."""
 from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +19,7 @@ from lieconf.embed import (
 )
 from lieconf.reps import dynkin_index
 from lieconf.surd import QuadraticNumber
+from lieconf import conformal
 from lieconf.conformal import (
     EXCLUDED_CANDIDATES,
     a1_exclusion_check,
@@ -31,6 +33,7 @@ from lieconf.conformal import (
     search_so_irreducible,
     solve_levels,
     table1_scan,
+    table2_rows,
     verify_case,
 )
 from lieconf.conformal import (
@@ -39,10 +42,12 @@ from lieconf.conformal import (
     _charge_entries,
     _divisors,
     _level_polynomial,
-    _rational_roots,
+    _real_roots,
 )
 
 from oracles import (
+    divisor_search_rational_roots,
+    divisor_search_real_roots,
     fraction_level_polynomial,
     fraction_rational_roots,
     isqrt_a1_exclusion,
@@ -174,29 +179,95 @@ def _from_roots(roots, tail):
     return coeffs
 
 
+def _cleared(coeffs):
+    scale = lcm(*(Fraction(c).denominator for c in coeffs))
+    return [int(c * scale) for c in coeffs]
+
+
+def _rational_of(roots):
+    return sorted(r.to_fraction() for r in roots if r.is_rational)
+
+
+def _root_keys(roots):
+    return sorted((r.d, r.p, r.q) for r in roots)
+
+
+def _expected_cap(ints):
+    """The SizeError message `_real_roots` owes on ints, or None when neither
+    its divisor search nor its surd extraction passes MAX_LEVEL_COEFF."""
+    content = gcd(*ints)
+    coeffs = [c // content for c in ints]
+    while len(coeffs) > 1 and coeffs[0] == 0:
+        del coeffs[0]
+    if len(coeffs) > 3:
+        ends = max(abs(coeffs[0]), abs(coeffs[-1]))
+        if ends > MAX_LEVEL_COEFF:
+            return (
+                f"cleared polynomial of degree {len(coeffs) - 1} has an end coefficient of "
+                f"{ends.bit_length()} bits; its divisor search exceeds the cap "
+                "MAX_LEVEL_COEFF = 2**24")
+        # Deflation only shrinks the end coefficients; what the search leaves
+        # is the quadratic, if any, that the closed form solves.
+        divisor_search_rational_roots(coeffs)
+    if len(coeffs) == 3:
+        c, b, a = coeffs
+        disc = b * b - 4 * a * c
+        if disc > MAX_LEVEL_COEFF**2 and isqrt(disc) ** 2 != disc:
+            return (
+                f"cleared quadratic has a non-square discriminant of {disc.bit_length()} "
+                "bits; extracting its square part exceeds the cap MAX_LEVEL_COEFF**2 = 2**48")
+    return None
+
+
+def _assert_matches_divisor_search(ints):
+    """`_real_roots` on ints against the divisor search run to the last
+    rational root: the same roots with multiplicity, or the same LieError,
+    or the cap exactly where `_expected_cap` puts it."""
+    cap = _expected_cap(ints)
+    if cap is not None:
+        with pytest.raises(SizeError) as info:
+            _real_roots(ints)
+        assert str(info.value) == cap
+        return
+    try:
+        expected = divisor_search_real_roots(ints)
+    except LieError as exc:
+        with pytest.raises(LieError) as info:
+            _real_roots(ints)
+        assert str(info.value) == str(exc)
+        return
+    assert _root_keys(_real_roots(ints)) == _root_keys(expected)
+
+
 class TestRationalRoots:
     @given(st.lists(small_roots, max_size=4), st.sampled_from([[1], [1, 0, 1], [3, 1, 5], [-2, 0, 1]]))
     def test_recovers_every_root_with_multiplicity(self, roots, tail):
         # tail is 1, k^2 + 1, 5k^2 + k + 3 or k^2 - 2: none has a rational root
-        found = _rational_roots(_from_roots(roots, tail))
-        assert sorted(found) == sorted(roots)
+        found = _real_roots(_cleared(_from_roots(roots, tail)))
+        assert _rational_of(found) == sorted(roots)
 
     @settings(max_examples=60)
     @given(st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=6)
            .filter(lambda c: c[-1] != 0))
     def test_matches_fraction_oracle(self, ints):
-        coeffs = [Fraction(c) for c in ints]
-        assert sorted(_rational_roots(list(coeffs))) == fraction_rational_roots(coeffs)
+        expected = fraction_rational_roots([Fraction(c) for c in ints])
+        try:
+            found = _real_roots(ints)
+        except LieError:
+            # a cubic or more is left once every rational root is divided out
+            assert len(ints) - 1 - len(expected) >= 3
+        else:
+            assert _rational_of(found) == expected
 
     @pytest.mark.parametrize("coeffs, steps", [
-        ([14414400, 1, 14414400], 1),  # no rational root: one search
-        (_from_roots([Fraction(1, 3), Fraction(-5, 2), Fraction(7)], [1]), 3),
+        ([14414400, 1, 14414400], 0),  # a quadratic: closed form, no search
+        (_from_roots([Fraction(1, 3), Fraction(-5, 2), Fraction(7)], [1]), 1),
+        (_from_roots([Fraction(1, 3), Fraction(-5, 2), Fraction(7), Fraction(-4)], [1]), 2),
     ])
     def test_divisors_listed_twice_per_deflation_step(self, monkeypatch, coeffs, steps):
         # The leading coefficient's divisors are listed once per step, not
-        # once per divisor of the constant (14414400 has 504 divisors).
-        from lieconf import conformal
-
+        # once per divisor of the constant (14414400 has 504 divisors), and
+        # deflation stops at degree 2.
         calls = []
 
         def counting(n):
@@ -204,8 +275,53 @@ class TestRationalRoots:
             return _divisors(n)
 
         monkeypatch.setattr(conformal, "_divisors", counting)
-        _rational_roots(list(coeffs))
-        assert 0 < len(calls) <= 2 * steps
+        _real_roots(_cleared(coeffs))
+        assert steps <= len(calls) <= 2 * steps
+
+
+class TestRealRootsAgainstDivisorSearch:
+    """The closed-form solver against the divisor search it replaced."""
+
+    def test_every_polynomial_the_reports_solve(self, monkeypatch):
+        seen = []
+
+        def recording(ints):
+            seen.append(tuple(ints))
+            return _real_roots(ints)
+
+        monkeypatch.setattr(conformal, "_real_roots", recording)
+        table2_rows()
+        global_report()
+        a1_exclusion_survey()
+        polys = set(seen)
+        # 111 table2 cells, 114 report rows (15 catalog cases among them), the
+        # 8 excluded candidates, and both sl(2) variants at the 7 rational
+        # survey rows (the 4 surd rows solve nothing); many are shared
+        assert len(seen) == 111 + 114 + 8 + 2 * 7
+        # every one is at most a quadratic, so none reaches the divisor search
+        assert max(len(ints) for ints in polys) == 3
+        for ints in polys:
+            _assert_matches_divisor_search(list(ints))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=-60, max_value=60),
+                      st.integers(min_value=1, max_value=12)),
+            max_size=4,
+        ),
+        st.lists(st.integers(min_value=-300, max_value=300), min_size=1, max_size=3)
+        .filter(lambda c: c[-1] != 0),
+    )
+    def test_polynomials_with_rational_roots(self, roots, tail):
+        roots = [Fraction(p, q) for p, q in roots]
+        _assert_matches_divisor_search(_cleared(_from_roots(roots, tail)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(min_value=-MAX_LEVEL_COEFF, max_value=MAX_LEVEL_COEFF),
+                    min_size=2, max_size=7).filter(lambda c: c[-1] != 0))
+    def test_integer_polynomials_under_the_cap(self, ints):
+        _assert_matches_divisor_search(ints)
 
 
 def _entries(case):
@@ -260,28 +376,45 @@ class TestLevelPolynomial:
         assert len(entries) <= MAX_LEVEL_ENTRIES
         coeffs = fraction_level_polynomial(entries)
         assert _level_polynomial(entries) == coeffs
-        biggest = max(map(abs, coeffs), default=0)
-        if biggest > MAX_LEVEL_COEFF:
+        cap = _expected_cap(coeffs) if coeffs else None
+        if cap is not None:
             with pytest.raises(SizeError) as info:
                 solve_levels(ambient, sub)
-            assert str(info.value) == (
-                f"cleared level polynomial has a coefficient of {biggest.bit_length()} "
-                "bits; it exceeds the cap MAX_LEVEL_COEFF = 2**24"
-            )
+            assert str(info.value) == cap
+        elif coeffs:
+            try:
+                solve_levels(ambient, sub)
+            except LieError as exc:
+                assert not isinstance(exc, SizeError) and "keeps degree" in str(exc)
 
     def test_cap_message_names_the_bits(self):
-        # The factors of spsp:40,40, C40^40 x C40^40 in so(6400); that case
-        # itself is too large to build.
+        # A cubic whose end coefficient has 50 bits, and a quadratic whose
+        # non-square discriminant has 103 bits.
+        big = (AlgebraType.parse("A1"), Fraction(10**13))
+        a1 = (AlgebraType.parse("A1"), Fraction(1))
+        for factors, message in [
+            ((big, a1, a1), "cleared polynomial of degree 3 has an end coefficient of 50 bits; "
+             "its divisor search exceeds the cap MAX_LEVEL_COEFF = 2**24"),
+            ((big, a1), "cleared quadratic has a non-square discriminant of 103 bits; "
+             "extracting its square part exceeds the cap MAX_LEVEL_COEFF**2 = 2**48"),
+        ]:
+            sub = SubalgebraSpec(factors)
+            entries = _charge_entries(build_algebra("E8"), sub)
+            assert _expected_cap(fraction_level_polynomial(entries)) == message
+            with pytest.raises(SizeError) as info:
+                solve_levels("E8", sub)
+            assert str(info.value) == message
+
+    def test_spsp_40_40_needs_no_trial_division(self, monkeypatch):
+        # C40^40 x C40^40 in so(6400): a quadratic with 25-bit coefficients
+        # and a square discriminant.
         ambient, c40 = AlgebraType.parse("D3200"), AlgebraType.parse("C40")
         sub = SubalgebraSpec(((c40, Fraction(40)), (c40, Fraction(40))))
         entries = _charge_entries(build_algebra(ambient), sub)
         assert max(abs(c) for c in fraction_level_polynomial(entries)).bit_length() == 25
-        with pytest.raises(SizeError) as info:
-            solve_levels(ambient, sub)
-        assert str(info.value) == (
-            "cleared level polynomial has a coefficient of 25 bits; "
-            "it exceeds the cap MAX_LEVEL_COEFF = 2**24"
-        )
+        monkeypatch.setattr(conformal, "_divisors", None)
+        monkeypatch.setattr("lieconf.surd.squarefree_extract", None)
+        assert [str(s) for s in solve_levels(ambient, sub)] == ["-41/40", "1"]
 
 
 def _solve_excluded(ambient, factors):

@@ -324,8 +324,42 @@ BAD_CATALOG_FIELDS = [
      "unknown factor field 'mult'"),
     ("unknown p component field", {"p": [{"weights": [[1, 0]], "multiplicity": 1}]},
      "unknown p component field 'multiplicity'"),
+    ("ambient rank", {"ambient": "D2"},
+     "bad ambient: rank 2 invalid for family D (allowed 3 and up)"),
+    ("ambient type", {"ambient": "Q3"},
+     "bad ambient: cannot parse algebra type 'Q3' (expected e.g. 'B3', 'E8')"),
+    ("no factors", {"factors": []}, "factors must be a non-empty list"),
+    ("factors not a list", {"factors": "G2"}, "factors must be a non-empty list"),
+    ("factor without index", {"factors": [{"type": "G2"}]},
+     "each factor needs 'type' and 'index'"),
+    ("factor not an object", {"factors": ["G2"]}, "each factor needs 'type' and 'index'"),
+    ("factor type unparsed", {"factors": [{"type": "Q2", "index": "1"}]},
+     "bad factor: cannot parse algebra type 'Q2' (expected e.g. 'B3', 'E8')"),
+    ("factor index unparsed", {"factors": [{"type": "G2", "index": "x"}]},
+     "bad factor: Invalid literal for Fraction: 'x'"),
+    ("factor index over zero", {"factors": [{"type": "G2", "index": "1/0"}]},
+     "bad factor: zero denominator in '1/0'"),
+    ("level unparsed", {"level": "minus two"},
+     "bad level: Invalid literal for Fraction: 'minus two'"),
+    ("no p", {"p": []}, "p must be a non-empty list of components"),
+    ("p not a list", {"p": {}}, "p must be a non-empty list of components"),
+    ("p component without weights", {"p": [{"mult": 1}]}, "each p component needs 'weights'"),
+    ("p component not an object", {"p": [[1, 0]]}, "each p component needs 'weights'"),
+    ("p weights per factor", {"p": [{"weights": [[1, 0], [0]], "mult": 1}]},
+     "expected one weight array per factor"),
+    ("p weights not nested", {"p": [{"weights": [1, 0], "mult": 1}]},
+     "expected one weight array per factor"),
 ]
 BAD_CATALOG_IDS = [name for name, _fields, _message in BAD_CATALOG_FIELDS]
+
+# (test id, catalog document, the whole error): refusals before any label is read
+BAD_CATALOG_DOCUMENTS = [
+    ("not an array", {"label": "toy"}, "catalog document must be a JSON array of cases"),
+    ("entry not an object", [3], "catalog entries must be objects"),
+    ("entry without label", [{"ambient": "B3"}], "catalog entry lacks a label"),
+    ("empty label", [{"label": ""}], "catalog entry lacks a label"),
+]
+BAD_CATALOG_DOCUMENT_IDS = [name for name, _document, _message in BAD_CATALOG_DOCUMENTS]
 
 
 class TestCatalog:
@@ -415,6 +449,15 @@ class TestCatalog:
         with pytest.raises(LieError) as info:
             load_catalog([toy_entry(**fields)])
         assert str(info.value) == f"case 'toy-G2-in-B3': {message}"
+
+    @pytest.mark.parametrize(
+        "name, document, message", BAD_CATALOG_DOCUMENTS, ids=BAD_CATALOG_DOCUMENT_IDS)
+    def test_malformed_document_is_refused_without_a_label(self, tmp_path, name, document, message):
+        path = tmp_path / "cat.json"
+        path.write_text(json.dumps(document))
+        with pytest.raises(LieError) as info:
+            load_catalog(str(path))
+        assert str(info.value) == message
 
     def test_booleans_are_not_integers(self):
         with pytest.raises(LieError, match="is not a dominant integral weight"):

@@ -32,6 +32,7 @@ from lieconf.reps import (
 
 from oracles import (
     check_character,
+    dense_weyl_dim,
     fraction_decompose,
     fraction_weight_system,
     fraction_weyl_data,
@@ -83,6 +84,31 @@ class TestWeylDimension:
         assert _weyl_data(alg) == fraction_weyl_data(alg)
         for lam in [fundamental(alg, i) for i in range(1, alg.rank + 1)] + [alg.rho]:
             assert weyl_dim(alg, lam) == fraction_weyl_dim(alg, lam)
+
+
+def _sparse_and_dense_weights(alg, rng):
+    n = alg.rank
+    weights = [(0,) * n, alg.rho]
+    weights += [fundamental(alg, i) for i in range(1, n + 1)]
+    for _ in range(8):
+        lam = [0] * n
+        for i in rng.sample(range(n), min(n, rng.randint(1, 3))):
+            lam[i] = rng.randint(1, 100)
+        weights.append(tuple(lam))
+    weights += [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(4)]
+    return weights
+
+
+class TestWeylDimensionAgainstDenseProduct:
+    """The product over the roots that meet a weight's support against the
+    dense product over every positive root."""
+
+    @pytest.mark.parametrize("typ", constructible_types(8) + ["A40", "B40", "C40", "D40"], ids=str)
+    def test_every_type_of_rank_at_most_8_and_rank_40(self, typ):
+        alg = build_algebra(typ)
+        rng = random.Random(str(typ))
+        for lam in _sparse_and_dense_weights(alg, rng):
+            assert weyl_dim(alg, lam) == dense_weyl_dim(alg, lam), lam
 
 
 class TestCasimir:
