@@ -245,6 +245,9 @@ def _cmd_conformal_solve(args) -> Handler:
     from .embed import load_catalog, resolve_levels
     from .liealg import AlgebraType
 
+    if args.case is not None and (args.ambient is not None or args.factors is not None):
+        flag = "--ambient" if args.ambient is not None else "--factors"
+        raise UsageError(f"conformal solve --case cannot be combined with {flag}")
     if args.case:
         ambient, sub = resolve_levels(args.case, load_catalog(args.catalog))
         label = sub.label
@@ -322,6 +325,11 @@ def _cmd_classify(args) -> Handler:
     from .reps import dynkin_index, weyl_dim
 
     which = args.target
+    for flag, given, reader in (("TYPE", args.type, "table1"),
+                                ("--bound", "bound" in args, "table1"),
+                                ("--max-rank", "max_rank" in args, "sl-irreducible")):
+        if given and which != reader:
+            raise UsageError(f"classify {which} does not read {flag}; only {reader} does")
     if which == "table2":
         payload = {
             "title": "candidate levels for the tensor and direct-sum pair grids",
@@ -334,7 +342,7 @@ def _cmd_classify(args) -> Handler:
             findings = search_so_irreducible()
             title = "irreducible orthogonal complements (survivors)"
         else:
-            findings = search_sl_irreducible(args.max_rank)
+            findings = search_sl_irreducible(getattr(args, "max_rank", 8))
             title = "irreducible V (+) V* complements (survivors)"
         rows = [
             {
@@ -355,11 +363,12 @@ def _cmd_classify(args) -> Handler:
         if not args.type:
             raise UsageError("classify table1 needs an algebra TYPE argument")
         alg = build_algebra(args.type)
-        hits = table1_scan(alg, args.bound)
+        bound = getattr(args, "bound", 3)
+        hits = table1_scan(alg, bound)
         payload = {
-            "title": f"small-index root-lattice weights of {alg.type} (coords <= {args.bound})",
+            "title": f"small-index root-lattice weights of {alg.type} (coords <= {bound})",
             "type": str(alg.type),
-            "bound": args.bound,
+            "bound": bound,
             "columns": ["weight", "dim", "index"],
             "rows": [
                 {
@@ -514,8 +523,10 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("table2", "so-irreducible", "sl-irreducible", "table1", "exceptional", "global"),
     )
     p_classify.add_argument("type", nargs="?", help="algebra type (table1 only)")
-    p_classify.add_argument("--bound", type=int, default=3, help="coordinate bound (table1)")
-    p_classify.add_argument("--max-rank", type=int, default=8, help="rank bound (sl-irreducible)")
+    p_classify.add_argument(
+        "--bound", type=int, default=argparse.SUPPRESS, help="coordinate bound (table1)")
+    p_classify.add_argument(
+        "--max-rank", type=int, default=argparse.SUPPRESS, help="rank bound (sl-irreducible)")
     p_classify.set_defaults(handler=_cmd_classify)
     _add_common(p_classify)
 

@@ -72,10 +72,10 @@ MAX_SCAN_BOUND = 100
 MAX_SEARCH_RANK = 20
 # Cap on the level solver's trial divisions: the divisor search of a cubic
 # or more needs end coefficients up to MAX_LEVEL_COEFF, and a non-square
-# discriminant is factored only up to MAX_LEVEL_COEFF**2.  Every shipped,
-# catalog and Table-2 equation is a quadratic at most and needs neither.
-# Worst cases under the cap: 504-divisor ends with no rational root, 0.06 s
-# at degree 4 and 0.2 s at degree 31; a prime discriminant near 2**48, 0.01 s.
+# discriminant is factored only up to 5 * MAX_LEVEL_COEFF**2, which bounds
+# any quadratic within the cap.  Every shipped, catalog and Table-2 equation
+# is a quadratic at most.  Worst cases: 504-divisor ends with no rational root
+# take 0.06 s at degree 4, 0.2 s at degree 31; a prime near 5 * 2**48, 0.01 s.
 MAX_LEVEL_COEFF = 2**24
 # Cap on the charge entries (physical factors plus the ambient): the
 # polynomial build takes O(N^2) steps on integers of about N times the bits of
@@ -205,11 +205,11 @@ def _real_roots(ints: Sequence[int]) -> List[QuadraticNumber]:
         # A square discriminant gives rational roots; QuadraticNumber
         # extracts the square part of any other.
         surd, d = (s, 1) if s * s == disc else (1, disc)
-        if d > MAX_LEVEL_COEFF**2:
+        if d > 5 * MAX_LEVEL_COEFF**2:
             raise SizeError(
                 f"cleared quadratic has a non-square discriminant of {disc.bit_length()} "
-                "bits; extracting its square part exceeds the cap MAX_LEVEL_COEFF**2 = "
-                f"2**{2 * (MAX_LEVEL_COEFF.bit_length() - 1)}")
+                "bits; extracting its square part exceeds the cap 5 * MAX_LEVEL_COEFF**2 = "
+                f"5 * 2**{2 * (MAX_LEVEL_COEFF.bit_length() - 1)}")
         if disc >= 0:
             roots.extend(
                 QuadraticNumber(Fraction(-b, 2 * a), Fraction(sign * surd, 2 * a), d)

@@ -642,8 +642,8 @@ def resolve_levels(
     """The ambient and subalgebra of a case label, all that its levels depend on.
 
     Labels resolve as in :func:`resolve_case`, but a built-in case stops at
-    its stated data: no weight of V, p or the ambient is built and no
-    branching is checked, so no module size cap applies.
+    its stated data: it checks no branching and builds only each factor's roots
+    and Weyl table (for theta and the indices), so no module size cap applies.
     """
     if catalog is None:
         catalog = load_catalog()

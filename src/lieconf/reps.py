@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress
-from operator import add
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
 
@@ -33,21 +33,19 @@ class NotACharacter(LieError):
 # per-algebra cached tables
 
 
-@lru_cache(maxsize=None)
-def _weyl_data(alg: SimpleAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Integer-scaled positive-root functionals for the Weyl dimension formula.
+class _WeylData(NamedTuple):  # of the positive roots alpha, in positive_roots_alpha order
+    rows: Tuple[Tuple[int, ...], ...]  # 6 d_i a_i: row . lam is 6 (lam, alpha)
+    at_rho: Tuple[int, ...]  # 6 (rho, alpha)
+    norms: Tuple[int, ...]  # 6 (alpha, alpha)
+    columns: Tuple[Tuple[Tuple[int, int], ...], ...]  # (root, entry) per non-zero entry
 
-    Each root alpha contributes the linear form lam -> sum_i (6 d_i a_i) lam_i;
-    the returned denominator is the product of the forms evaluated at rho.
-    """
-    d6 = alg.d6
-    rows = []
-    denom = 1
-    for a in alg.positive_roots_alpha:
-        row = tuple(x * ai for x, ai in zip(d6, a))
-        rows.append(row)
-        denom *= sum(row)
-    return tuple(rows), denom
+
+@lru_cache(maxsize=None)
+def _weyl_data(alg: SimpleAlgebra) -> _WeylData:
+    rows = tuple(tuple(map(mul, alg.d6, a)) for a in alg.positive_roots_alpha)
+    norms = tuple(sum(map(mul, a, row)) for a, row in zip(alg.positive_roots_omega, rows))
+    columns = tuple(tuple(compress(enumerate(col), col)) for col in zip(*rows))
+    return _WeylData(rows, tuple(map(sum, rows)), norms, columns)
 
 
 @lru_cache(maxsize=None)
@@ -82,23 +80,13 @@ def weyl_dim(alg: SimpleAlgebra, lam: Sequence[Rational]) -> int:
 
 
 @lru_cache(maxsize=None)
-def _weyl_columns(
-    alg: SimpleAlgebra,
-) -> tuple[tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
-    """The `_weyl_data` rows by column, (root, entry) for each non-zero entry,
-    and each row's value at rho."""
-    rows = _weyl_data(alg)[0]
-    columns = tuple(tuple(compress(enumerate(col), col)) for col in zip(*rows))
-    return columns, tuple(map(sum, rows))
-
-
-@lru_cache(maxsize=None)
 def _weyl_dim_cached(alg: SimpleAlgebra, lam: Coords) -> int:
     # Only the roots that meet lam's support move (lam + rho, alpha) off
     # (rho, alpha); every other factor cancels its own denominator.
-    columns, at_rho = _weyl_columns(alg)
+    table = _weyl_data(alg)
+    at_rho = table.at_rho
     shifts: Dict[int, int] = {}
-    for column, x in zip(columns, lam):
+    for column, x in zip(table.columns, lam):
         if x:
             for r, entry in column:
                 shifts[r] = shifts.get(r, 0) + entry * x
@@ -203,14 +191,12 @@ def _weight_system(alg: SimpleAlgebra, lam: Coords) -> Mapping[Coords, int]:
     def norm(v: Coords) -> int:
         return sum(x * sum(g * y for g, y in zip(row, v)) for x, row in zip(v, gram) if x)
 
-    root_data = [
-        (a, a6, sum(x * y for x, y in zip(a, a6))) for a, a6 in zip(roots, _weyl_data(alg)[0])
-    ]
+    table = _weyl_data(alg)
     top = norm(tuple(x + 1 for x in lam))
     mult: Dict[Coords, int] = {lam: 1}
     for mu in dominants[1:]:
         acc = 0
-        for a, a6, aa in root_data:
+        for a, a6, aa in zip(roots, table.rows, table.norms):
             nu = tuple(x + y for x, y in zip(mu, a))
             dom = dom_of.get(nu)
             if dom is None:

@@ -2,8 +2,8 @@
 
 `QuadraticNumber` is p + q*sqrt(d) with rational p, q and a fixed squarefree
 d >= 0; it supports field arithmetic against rationals and same-field numbers
-and exact equality, and prints as (a+b*sqrt(d))/c.  It is the one type for
-solved levels.
+and exact equality against any number, is immutable, and prints as
+(a+b*sqrt(d))/c.  It is the one type for solved levels.
 """
 from __future__ import annotations
 
@@ -55,16 +55,20 @@ class QuadraticNumber:
         if d < 0:
             raise ValueError("negative radicand")
         if q != 0 and d > 1:
-            s, d0 = squarefree_extract(d)
+            s, d = squarefree_extract(d)
             q *= s
-            d = d0
-        if d in (0, 1) and q != 0:
-            p += q * (0 if d == 0 else 1)
-            q = Fraction(0)
-            d = 0
-        if q == 0:
-            d = 0
-        self.p, self.q, self.d = p, q, d
+        if q == 0 or d <= 1:  # rational: q sqrt(d) is q d
+            p, q, d = p + q * d, Fraction(0), 0
+        for name, value in zip(self.__slots__, (p, q, d)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *_):  # immutable, so the hash holds
+        raise AttributeError("QuadraticNumber is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return QuadraticNumber, (self.p, self.q, self.d)
 
     # -- helpers -------------------------------------------------------------
 
@@ -101,10 +105,7 @@ class QuadraticNumber:
         return QuadraticNumber(-self.p, -self.q, self.d)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -142,10 +143,12 @@ class QuadraticNumber:
     # -- equality ---------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.p == o.p and self.q == o.q and (self.q == 0 or self.d == o.d)
+        # d is 0 exactly when q is, so different radicands are different values
+        if isinstance(other, QuadraticNumber):
+            return (self.p, self.q, self.d) == (other.p, other.q, other.d)
+        if isinstance(other, (int, Fraction)):
+            return self.q == 0 and self.p == other
+        return NotImplemented
 
     def __hash__(self):
         if self.q == 0:  # equal to the rational p, so hash like it

@@ -46,7 +46,6 @@ from lieconf.reps import (
     product_weight_system,
     split_coords,
     weyl_dim,
-    _weyl_data,
 )
 from lieconf.surd import QuadraticNumber, squarefree_extract
 
@@ -260,6 +259,7 @@ def fraction_form(alg: SimpleAlgebra) -> tuple[tuple[Fraction, ...], ...]:
 # Weyl dimension, weight systems and peel-off decomposition over Fraction
 
 
+@lru_cache(maxsize=None)
 def fraction_weyl_data(alg: SimpleAlgebra) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The Weyl-dimension table with a `Fraction` product per root coordinate:
     the row of root alpha holds 6 d_i a_i, the denominator is the product of
@@ -288,9 +288,9 @@ def fraction_weyl_dim(alg: SimpleAlgebra, lam: Coords) -> int:
 
 def dense_weyl_dim(alg: SimpleAlgebra, lam: Coords) -> int:
     """prod over positive roots of (lam + rho, alpha) / (rho, alpha) from the
-    integer `_weyl_data` rows: every factor a full dot product with lam + rho,
-    divided once by the product of all of them at rho."""
-    rows, denom = _weyl_data(alg)
+    `fraction_weyl_data` rows on integers: every factor a full dot product
+    with lam + rho, divided once by the product of all of them at rho."""
+    rows, denom = fraction_weyl_data(alg)
     shifted = tuple(x + 1 for x in lam)
     num = 1
     for row in rows:

@@ -338,6 +338,35 @@ class TestClassify:
 
 
 @pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["classify", "global", "--max-rank", "3"], "classify global does not read --max-rank"),
+        (["classify", "global", "--bound", "3"], "classify global does not read --bound"),
+        (["classify", "table2", "B3"], "classify table2 does not read TYPE"),
+        (["classify", "exceptional", "--bound", "0"], "classify exceptional does not read --bound"),
+        (["classify", "so-irreducible", "--max-rank", "2"], "does not read --max-rank"),
+        (["classify", "sl-irreducible", "--bound", "3"], "does not read --bound; only table1"),
+        (["classify", "table1", "B3", "--max-rank", "8"], "only sl-irreducible does"),
+        (["conformal", "solve", "--case", "spsp:2,2", "--ambient", "E8"], "with --ambient"),
+        (["conformal", "solve", "--case", "spsp:2,2", "--factors", "A1"], "with --factors"),
+    ],
+)
+def test_an_argument_the_command_does_not_read_is_refused(argv, named):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize(
+    "argv, default",
+    [(["classify", "table1", "B3"], ["--bound", "3"]),
+     (["classify", "sl-irreducible"], ["--max-rank", "8"])],
+)
+def test_an_unset_bound_takes_its_default(argv, default):
+    assert run(argv) == run(argv + default)
+
+
+@pytest.mark.parametrize(
     "argv, cap",
     [
         (["algebra", "info", "A1000"], "MAX_TABLE_RANK"),

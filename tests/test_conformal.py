@@ -7,7 +7,7 @@ from itertools import product
 from math import gcd, isqrt, lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lieconf.liealg import AlgebraType, LieError, SizeError, build_algebra, constructible_types
 from lieconf.embed import (
@@ -212,10 +212,10 @@ def _expected_cap(ints):
     if len(coeffs) == 3:
         c, b, a = coeffs
         disc = b * b - 4 * a * c
-        if disc > MAX_LEVEL_COEFF**2 and isqrt(disc) ** 2 != disc:
+        if disc > 5 * MAX_LEVEL_COEFF**2 and isqrt(disc) ** 2 != disc:
             return (
-                f"cleared quadratic has a non-square discriminant of {disc.bit_length()} "
-                "bits; extracting its square part exceeds the cap MAX_LEVEL_COEFF**2 = 2**48")
+                f"cleared quadratic has a non-square discriminant of {disc.bit_length()} bits; "
+                "extracting its square part exceeds the cap 5 * MAX_LEVEL_COEFF**2 = 5 * 2**48")
     return None
 
 
@@ -323,6 +323,16 @@ class TestRealRootsAgainstDivisorSearch:
     def test_integer_polynomials_under_the_cap(self, ints):
         _assert_matches_divisor_search(ints)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(min_value=-MAX_LEVEL_COEFF, max_value=MAX_LEVEL_COEFF),
+                    min_size=3, max_size=3).filter(lambda c: c[-1] != 0))
+    @example([-MAX_LEVEL_COEFF, MAX_LEVEL_COEFF - 1, MAX_LEVEL_COEFF])
+    def test_quadratics_under_the_cap_never_trip_it(self, ints):
+        # Every discriminant here is below 5 * MAX_LEVEL_COEFF**2; the
+        # example's is a 51-bit non-square, past the square of the cap.
+        assert _expected_cap(ints) is None
+        assert _root_keys(_real_roots(ints)) == _root_keys(divisor_search_real_roots(ints))
+
 
 def _entries(case):
     return _charge_entries(build_algebra(case.ambient), case.sub)
@@ -396,7 +406,7 @@ class TestLevelPolynomial:
             ((big, a1, a1), "cleared polynomial of degree 3 has an end coefficient of 50 bits; "
              "its divisor search exceeds the cap MAX_LEVEL_COEFF = 2**24"),
             ((big, a1), "cleared quadratic has a non-square discriminant of 103 bits; "
-             "extracting its square part exceeds the cap MAX_LEVEL_COEFF**2 = 2**48"),
+             "extracting its square part exceeds the cap 5 * MAX_LEVEL_COEFF**2 = 5 * 2**48"),
         ]:
             sub = SubalgebraSpec(factors)
             entries = _charge_entries(build_algebra("E8"), sub)
@@ -614,6 +624,15 @@ class TestA1Exclusion:
         for row in rows:
             assert row.result.empty, (row.description, row.a1_index, str(row.level))
 
+    def test_survey_names_a_stored_surd_with_the_wrong_radicand(self, monkeypatch):
+        # The E7 pair solves to radicand 46265; a stored 46266 is not a root,
+        # and the survey names it rather than failing on the comparison.
+        wrong = QuadraticNumber(Fraction(479, 1524), Fraction(3, 1524), 46266)
+        row = ("E7", (("A1", 24), ("A1", 15)), (wrong,))
+        monkeypatch.setattr(conformal, "EXCLUDED_CANDIDATES", [row])
+        with pytest.raises(LieError, match=r"stored level \(479\+3\*sqrt\(46266\)\)/1524 is not"):
+            a1_exclusion_survey()
+
     def test_survey_covers_all_stored_candidates(self):
         rows = a1_exclusion_survey()
         descriptions = {row.description for row in rows}
@@ -637,6 +656,13 @@ class TestA1Exclusion:
         wrong = [dk for dk, res in results.items() if tuple(res) != isqrt_a1_exclusion(*first[dk])]
         assert not wrong
         assert sum(grid[dk] for dk, res in results.items() if not res.empty) == 1483
+
+    def test_discriminants_within_the_cap_are_answered(self):
+        # A 49-bit non-square discriminant, past MAX_LEVEL_COEFF**2 but within
+        # five times it; and the Casimir variant's 4 * 33554433, 28 bits, from
+        # a quadratic whose leading coefficient has 26 bits.
+        assert a1_exclusion_check(1, Fraction(-10905188, 6710885)).empty
+        assert a1_exclusion_check(1, Fraction(-75497474, 33554433)).empty
 
     def test_huge_level_fails_at_once(self):
         with pytest.raises(SizeError):

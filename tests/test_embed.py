@@ -611,7 +611,7 @@ class TestVerifyAdjointBranching:
             embed._verify_adjoint_branching((self.A2,), self.A2.type, [((1, 0),)], {((1, 0),): 1})
 
     @pytest.mark.parametrize("family", DUAL_PAIR_FAMILIES)
-    def test_packed_check_matches_tuple_oracle_on_grid(self, family):
+    def test_dominant_check_matches_tuple_oracle_on_grid(self, family):
         # Every valid cell with n, m <= 6, as stated, with one same-dimension
         # swap in p, and with one p component dropped: the dominant-weight
         # check and the coordinate-tuple oracle accept the stated branching

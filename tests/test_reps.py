@@ -2,6 +2,7 @@
 weight systems, tensor products, and square decompositions."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from oracles import (
     check_character,
     dense_weyl_dim,
     fraction_decompose,
+    fraction_form,
     fraction_weight_system,
     fraction_weyl_data,
     fraction_weyl_dim,
@@ -80,8 +82,25 @@ class TestWeylDimension:
 
     @pytest.mark.parametrize("typ", constructible_types(8), ids=str)
     def test_integer_table_matches_fraction_table(self, typ):
+        # The rows against the Fraction table; each value at rho and each norm
+        # against 6 (rho, alpha) and 6 (alpha, alpha) from the Fraction form on
+        # the root's omega-coordinates; each column against the rows.
         alg = build_algebra(typ)
-        assert _weyl_data(alg) == fraction_weyl_data(alg)
+        table = _weyl_data(alg)
+        oracle_rows, denom = fraction_weyl_data(alg)
+        assert table.rows == oracle_rows and math.prod(table.at_rho) == denom
+        form = fraction_form(alg)
+        n = alg.rank
+
+        def pair6(u, v):
+            return 6 * sum(x * g * y for x, row in zip(u, form) for g, y in zip(row, v))
+
+        for a, value, norm in zip(alg.positive_roots_alpha, table.at_rho, table.norms, strict=True):
+            omega = [sum(alg.cartan[t][j] * a[j] for j in range(n)) for t in range(n)]
+            assert (value, norm) == (pair6([1] * n, omega), pair6(omega, omega)), a
+        assert table.columns == tuple(
+            tuple((r, row[i]) for r, row in enumerate(oracle_rows) if row[i]) for i in range(n)
+        )
         for lam in [fundamental(alg, i) for i in range(1, alg.rank + 1)] + [alg.rho]:
             assert weyl_dim(alg, lam) == fraction_weyl_dim(alg, lam)
 

@@ -1,5 +1,7 @@
 """Exact quadratic-surd arithmetic."""
 
+import copy
+import pickle
 import re
 from fractions import Fraction
 from math import gcd
@@ -68,6 +70,31 @@ class TestQuadraticNumber:
     def test_compare_with_rational(self):
         assert quad(Fraction(5, 2), 0, 3) == Fraction(5, 2)
         assert quad(1, 1, 2) != 1
+
+    @given(rationals, rationals, radicands, rationals, rationals, radicands)
+    def test_equality_and_hash_agree_across_radicands(self, a, b, d, c, e, d2):
+        # With d >= 2 squarefree, a + b sqrt(d) and c + e sqrt(d2) are equal
+        # exactly when a == c and the surd parts have equal signed squares.
+        x, y = quad(a, b, d), quad(c, e, d2)
+        equal = a == c and b * abs(b) * d == e * abs(e) * d2
+        assert (x == y, x != y, x in [y], y in {x}) == (equal, not equal, equal, equal)
+        if equal:
+            assert hash(x) == hash(y)
+        # b sqrt(4 d) is 2 b sqrt(d), whatever radicand it was written with
+        z = quad(a, 2 * b, d)
+        assert quad(a, b, 4 * d) == z and hash(quad(a, b, 4 * d)) == hash(z)
+
+    def test_attributes_cannot_be_set(self):
+        x = quad(1, 1, 2)
+        held = {x}
+        for name in ("p", "q", "d"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 5)
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert x in held and (x.p, x.q, x.d) == (1, 1, 2)
+        # copies are rebuilt by the constructor, not by setting attributes
+        assert copy.deepcopy(x) == x and pickle.loads(pickle.dumps(x)) == x
 
     @given(rationals, radicands)
     def test_rational_values_hash_like_the_rational(self, r, d):
