@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import mul
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Tuple
 
 from . import CHARACTER_MODELS, DUAL_PAIR_FAMILIES, IDENTITY_NAMES
@@ -79,7 +80,7 @@ def _fmt(value: Any) -> str:
 
 
 def _weight_str(coords: Sequence[int]) -> str:
-    return "[" + ",".join(str(c) for c in coords) + "]"
+    return "[" + ",".join(map(str, coords)) + "]"
 
 
 def _component_str(comp: Sequence[Sequence[int]]) -> str:
@@ -170,10 +171,9 @@ def _cmd_rep(args) -> Handler:
     else:  # weights
         ws = freudenthal_weights(alg, lam)
         form = height_form((alg,))
+        # Descending (height, coordinates): the weights are distinct keys.
         items = sorted(
-            ws.entries.items(),
-            key=lambda kv: (-sum(c * t for c, t in zip(kv[0], form)), tuple(-c for c in kv[0])),
-        )
+            ws.entries.items(), key=lambda kv: (sum(map(mul, kv[0], form)), kv[0]), reverse=True)
         payload["title"] = f"weight system of L{lam} over {alg.type}"
         payload["dim"] = ws.total()
         payload["columns"] = ["weight", "mult"]

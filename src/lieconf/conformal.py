@@ -112,15 +112,15 @@ def central_charge(alg: Union[SimpleAlgebra, AlgebraType, str], k: Level):
 # candidate-level solving
 #
 # Matching central charges, sum_j c_{j_j k}(k_j) = c_k(g), clears to a
-# polynomial once multiplied by every factor's (j_j k + h_j) and the ambient
-# (k + h_g).  The always-present root k = 0 is removed; rational roots are
-# deflated while the degree is 3 or more, and what is left is solved in
-# closed form.
+# polynomial once multiplied by every factor's (k - k_j), k_j its critical
+# level from SubalgebraSpec.critical_levels, and the ambient's (k + h_g).  The
+# always-present root k = 0 is removed; rational roots are deflated while the
+# degree is 3 or more, and what is left is solved in closed form.
 # Linear forms are kept once per *physical* factor, a group of
 # SubalgebraSpec.groups (an so(4) factor contributes a single form even though
-# it is presented as two sl(2) slots), so a coincidence of candidate root and
-# critical level survives in the output exactly when two distinct factors
-# share the form.
+# it is presented as two sl(2) slots; its slots share a critical level), so a
+# coincidence of candidate root and critical level survives in the output
+# exactly when two distinct factors share the form.
 
 
 def _scaled_value(ints: Sequence[int], p: int, q: int) -> int:
@@ -217,37 +217,30 @@ def _real_roots(ints: Sequence[int]) -> List[QuadraticNumber]:
     return roots
 
 
-def _charge_entries(
-    ambient: SimpleAlgebra, sub: SubalgebraSpec
-) -> List[Tuple[Fraction, Fraction, int]]:
-    """(pole, slope j, signed dimension) per physical factor, ambient last."""
-    entries: List[Tuple[Fraction, Fraction, int]] = []
-    for group in sub.groups:
-        slots = [(build_algebra(sub.factors[i][0]), sub.factors[i][1]) for i in group]
-        poles = {Fraction(-alg.dual_coxeter) / j for alg, j in slots}
-        if len(poles) != 1:
-            raise LieError("slots of one physical factor must share a critical level")
-        entries.append((poles.pop(), slots[0][1], sum(alg.dim for alg, _j in slots)))
-    entries.append((Fraction(-ambient.dual_coxeter), Fraction(1), -ambient.dim))
+def _charge_entries(ambient: SimpleAlgebra, sub: SubalgebraSpec) -> List[Tuple[Fraction, int]]:
+    """(pole, signed dimension) per physical factor, ambient last."""
+    poles, algs = sub.critical_levels, sub.algebras
+    entries = [(poles[group[0]], sum(algs[i].dim for i in group)) for group in sub.groups]
+    entries.append((Fraction(-ambient.dual_coxeter), -ambient.dim))
     return entries
 
 
-def _level_polynomial(entries: Sequence[Tuple[Fraction, Fraction, int]]) -> List[int]:
+def _level_polynomial(entries: Sequence[Tuple[Fraction, int]]) -> List[int]:
     """Cleared coefficients, constant first, of M(k) = sum_e w_e prod_{e' != e} (k - pole_e').
 
-    The factor slopes j and the removed overall factor k are already absorbed
-    into the entries.  With the poles over one denominator D, pole_e = a_e / D,
+    The removed overall factor k is already absorbed into the entries.  With
+    the poles over one denominator D, pole_e = a_e / D,
     D^(N-1) M(k) = sum_e w_e prod_{e' != e} (D k - a_e') has integer
     coefficients; dividing them by their gcd with D^(N-1) gives M times the
     lcm of its coefficients' denominators.  Trailing zeros are dropped, so
     the zero polynomial is [].
     """
-    denom = lcm(*(pole.denominator for pole, _j, _w in entries))
-    nums = [pole.numerator * (denom // pole.denominator) for pole, _j, _w in entries]
+    denom = lcm(*(pole.denominator for pole, _w in entries))
+    nums = [pole.numerator * (denom // pole.denominator) for pole, _w in entries]
     # Running sums over the first entries: full is their product of (D k - a),
     # total the sum over them of w_e times the product without e's own factor.
     total, full = [0], [1]
-    for a, (_pole, _j, weight) in zip(nums, entries):
+    for a, (_pole, weight) in zip(nums, entries):
         total = [
             denom * y - a * x + weight * f
             for x, y, f in zip(total + [0], [0] + total, full + [0])
@@ -302,15 +295,9 @@ def level_flags(
     k: Level,
 ) -> LevelFlags:
     """Which factor slots (and whether the ambient) are critical at level k."""
-    ambient = build_algebra(ambient)
     k = _as_number(k)
-    crit = []
-    for i, (typ, j) in enumerate(sub.factors):
-        alg = build_algebra(typ)
-        if not j * k + alg.dual_coxeter:
-            crit.append(i)
-    ambient_critical = not k + ambient.dual_coxeter
-    return LevelFlags(tuple(crit), ambient_critical)
+    crit = tuple(i for i, level in enumerate(sub.critical_levels) if k == level)
+    return LevelFlags(crit, k == -build_algebra(ambient).dual_coxeter)
 
 
 # ---------------------------------------------------------------------------
@@ -335,15 +322,16 @@ class APReport(NamedTuple):
 def ap_check(case: BranchingCase, k: Level) -> APReport:
     """Evaluate the balance criterion for every component of p at level k.
 
-    Component lambda balances when sum_j C_j(lambda) / (2 (j_j k + h_j)) = 1,
-    summing Casimir eigenvalues over the factors at their levels k_j = j_j k.
+    Component lambda balances when sum_j C_j(lambda) / (2 j_j (k - k_j)) = 1,
+    summing Casimir eigenvalues over the factors at their levels j_j k, with
+    k_j the slot's critical level (``SubalgebraSpec.critical_levels``).
     A critical factor (:func:`level_flags`) leaves every row unevaluated.
     """
     k = _as_number(k)
     flags = level_flags(case.ambient, case.sub, k)
     critical = flags.critical_factors
-    algs = case.p_components.algebras
-    denoms = [2 * (j * k + alg.dual_coxeter) for alg, j in zip(algs, case.sub.indices)]
+    algs, sub = case.p_components.algebras, case.sub
+    denoms = [2 * j * (k - level) for j, level in zip(sub.indices, sub.critical_levels)]
     rows: List[Tuple[int, Optional[Union[Fraction, QuadraticNumber]], bool]] = []
     for idx, (comp, _mult) in enumerate(case.p_components.sorted_items()):
         if critical:

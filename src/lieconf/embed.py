@@ -98,7 +98,8 @@ class SubalgebraSpec(_SubalgebraSpecFields):
 
     ``groups`` partitions the factor slots into physical factors: an so(4)
     factor is presented as two sl(2) slots but is a single group.  The
-    default is one group per slot.
+    default is one group per slot.  The slots of one group must share a
+    critical level (see :attr:`critical_levels`).
     """
 
     __slots__ = ()
@@ -116,7 +117,11 @@ class SubalgebraSpec(_SubalgebraSpecFields):
             groups = tuple((i,) for i in range(len(factors)))
         if not all(groups) or sorted(chain.from_iterable(groups)) != list(range(len(factors))):
             raise LieError("groups must partition the factor slots")
-        return super().__new__(cls, factors, label, groups)
+        spec = super().__new__(cls, factors, label, groups)
+        levels = spec.critical_levels
+        if any(levels[i] != levels[group[0]] for group in groups for i in group):
+            raise LieError("slots of one physical factor must share a critical level")
+        return spec
 
     @classmethod
     def _make(cls, iterable) -> "SubalgebraSpec":
@@ -130,6 +135,11 @@ class SubalgebraSpec(_SubalgebraSpecFields):
     @property
     def indices(self) -> Tuple[Fraction, ...]:
         return tuple(idx for _, idx in self.factors)
+
+    @property
+    def critical_levels(self) -> Tuple[Fraction, ...]:
+        """Per slot, the ambient level k = -h_vee / j at which it is critical."""
+        return tuple(Fraction(-build_algebra(t).dual_coxeter) / j for t, j in self.factors)
 
     def describe(self) -> str:
         return " x ".join(str(typ) if idx == 1 else f"{typ}^{idx}" for typ, idx in self.factors)

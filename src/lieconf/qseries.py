@@ -71,8 +71,13 @@ class PuiseuxSeries:
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "order", order)
 
-    def __setattr__(self, name, value):  # immutability
+    def __setattr__(self, *_):  # immutability
         raise AttributeError("PuiseuxSeries is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return PuiseuxSeries, (self.denom, self.coeffs, self.order)
 
     # -- constructors --------------------------------------------------------
 

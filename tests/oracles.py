@@ -762,18 +762,18 @@ def isqrt_a1_exclusion(d: Fraction, k: Fraction) -> Tuple:
 # the level polynomial by Fraction polynomial products
 
 
-def fraction_level_polynomial(entries: Sequence[Tuple[Fraction, Fraction, int]]) -> List[int]:
+def fraction_level_polynomial(entries: Sequence[Tuple[Fraction, int]]) -> List[int]:
     """Cleared coefficients, constant first, of sum_e w_e prod_{e' != e} (k - pole_e').
 
-    ``entries`` are the (pole, slope, weight) triples of
+    ``entries`` are the (pole, weight) pairs of
     `lieconf.conformal._charge_entries`.  Each term is multiplied out in
     `Fraction`s, one linear factor at a time; the sum is trimmed of trailing
     zeros and scaled by the lcm of its denominators.
     """
     total: List[Fraction] = []
-    for idx, (_pole, _j, weight) in enumerate(entries):
+    for idx, (_pole, weight) in enumerate(entries):
         term = [Fraction(weight)]
-        for idx2, (pole2, _j2, _w2) in enumerate(entries):
+        for idx2, (pole2, _w2) in enumerate(entries):
             if idx2 != idx:
                 shifted = [Fraction(0)] + term
                 term = [s - pole2 * t for s, t in zip(shifted, term + [Fraction(0)])]

@@ -17,7 +17,7 @@ import lieconf
 from lieconf import embed
 from lieconf.cli import main
 from lieconf.liealg import build_algebra
-from lieconf.reps import casimir, dynkin_index, weyl_dim
+from lieconf.reps import casimir, dynkin_index, height_form, weyl_dim
 from test_embed import (
     BAD_CATALOG_DOCUMENT_IDS,
     BAD_CATALOG_DOCUMENTS,
@@ -96,6 +96,22 @@ class TestRep:
         code, doc = run_json(["rep", "weights", "B2", "1,0"])
         assert code == 0
         assert sum(row["mult"] for row in doc["rows"]) == doc["dim"] == 5
+
+    @pytest.mark.parametrize("typ, weight", [
+        ("E7", "0,0,1,0,0,0,0"),
+        ("B4", "0,1,1,0"),
+        ("A3", "1,2,4"),
+        ("F4", "0,1,0,0"),
+        ("E8", "0,0,0,0,0,0,0,1"),
+    ])
+    def test_weight_rows_descend_by_height_then_coordinates(self, typ, weight):
+        code, doc = run_json(["rep", "weights", typ, weight])
+        assert code == 0
+        form = height_form((build_algebra(typ),))
+        weights = [tuple(int(c) for c in row["weight"][1:-1].split(",")) for row in doc["rows"]]
+        assert len(set(weights)) == len(weights)
+        assert weights == sorted(
+            weights, key=lambda w: (-sum(c * t for c, t in zip(w, form)), [-c for c in w]))
 
     def test_tensor_preserves_dimension(self):
         code, doc = run_json(["rep", "tensor", "A1", "2", "3"])

@@ -494,11 +494,13 @@ class TestValueTypeContracts:
         ),
     )
     @example([("A1", 1, 1)] * 2, [("A1", 1)] * 3, None)
+    @example([("A1", 1, 1), ("G2", 1, 1)], [("A1", 1), ("G2", 1)], ((0, 1),))
     def test_replace_and_make_keep_the_checks(self, raw, new_raw, groups):
         # _replace and _make build as the constructor does: a valid value
         # round-trips, an invalid one raises the constructor's LieError.
-        # The example puts three A1 slots under groups of two: built
-        # unchecked, solve_levels would drop the third slot silently.
+        # The first example puts three A1 slots under groups of two: built
+        # unchecked, solve_levels would drop the third slot silently.  The
+        # second puts A1 (critical at -2) and G2 (at -4) in one group.
         def outcome(build, *args, **kwargs):
             try:
                 return build(*args, **kwargs)
@@ -514,6 +516,19 @@ class TestValueTypeContracts:
         assert outcome(spec._replace, groups=groups) == want
         want = outcome(SubalgebraSpec, factors, "s", groups)
         assert outcome(SubalgebraSpec._make, (factors, "s", groups)) == want
+
+    def test_critical_levels_are_one_per_slot(self):
+        a1, g2, c3 = AlgebraType("A", 1), AlgebraType("G", 2), AlgebraType("C", 3)
+        spec = SubalgebraSpec(((a1, 2), (g2, Fraction(4, 3)), (c3, Fraction(1, 2))))
+        assert spec.critical_levels == (Fraction(-1), Fraction(-3), Fraction(-8))
+        # A1^2 and C3^4 are both critical at -1, so they may form one group.
+        grouped = SubalgebraSpec(((a1, 2), (c3, 4)), groups=((0, 1),))
+        assert grouped.critical_levels == (Fraction(-1), Fraction(-1))
+        message = "slots of one physical factor must share a critical level"
+        with pytest.raises(LieError, match=message):
+            grouped._replace(factors=((a1, 1), (c3, 4)))
+        with pytest.raises(LieError, match=message):
+            SubalgebraSpec._make((spec.factors, "", ((0,), (1, 2))))
 
     @pytest.mark.parametrize("index, shown", [(0, "0"), (Fraction(-1, 2), "-1/2")])
     def test_non_positive_index_keeps_its_message(self, index, shown):

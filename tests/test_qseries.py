@@ -1,6 +1,8 @@
 """Exact truncated Puiseux arithmetic, the Euler product, the character
 models, and the four coefficientwise-verified identities."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -102,8 +104,23 @@ class TestSeriesBasics:
         s = PuiseuxSeries.one(4)
         with pytest.raises(AttributeError):
             s.order = 10
+        for name in ("denom", "coeffs", "order"):
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(s, name)
+        assert (s.denom, s.coeffs, s.order) == (1, {0: 1}, 4)
         with pytest.raises(TypeError):
             hash(s)
+
+    @pytest.mark.parametrize("s", [
+        PuiseuxSeries(1, {0: 1}, 3),
+        PuiseuxSeries.from_terms({Fraction(-1, 3): Fraction(5, 2), 2: -1}, Fraction(7, 2)),
+        PuiseuxSeries.zero(4),
+    ], ids=["one", "fractional", "zero"])
+    def test_copies_and_pickles_rebuild_through_the_constructor(self, s):
+        for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+            assert twin == s
+            assert (twin.denom, twin.coeffs, twin.order) == (s.denom, s.coeffs, s.order)
+        assert copy.deepcopy(s).coeffs is not s.coeffs
 
     def test_equality_only_compares_below_the_smaller_order(self):
         a = PuiseuxSeries.from_terms({0: 1}, 5)
