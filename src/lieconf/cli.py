@@ -412,10 +412,13 @@ def _cmd_qseries(args) -> Handler:
     from .qseries import character, verify_identity
 
     if args.qop == "char":
+        reads_ell = args.model in ("sl2_m32", "sl2_m4")
+        if args.ell and not reads_ell:
+            raise UsageError(f"qseries char {args.model} does not read ell; only sl2_m32 and "
+                             "sl2_m4 do")
         series = character(args.model, args.ell, args.order)
         payload = {
-            "title": f"character {args.model}"
-            + (f" (ell={args.ell})" if args.model in ("sl2_m32", "sl2_m4") else ""),
+            "title": f"character {args.model}" + (f" (ell={args.ell})" if reads_ell else ""),
             "model": args.model,
             "ell": args.ell,
             "order": args.order,
@@ -568,6 +571,19 @@ def _glue_level_values(argv: Sequence[str]) -> list:
     return out
 
 
+def _refuse_unread_catalog(args) -> None:
+    """UsageError when --catalog is given to a command that does not read it."""
+    if args.catalog is None:
+        return
+    op = next(getattr(args, dest) for dest in (
+        "algebra_op", "rep_op", "branch_op", "conf_op", "target", "qop") if dest in args)
+    if op in ("check", "exceptional", "global") or (op == "solve" and args.case is not None):
+        return
+    command = f"{args.command} {op}" + (" without --case" if op == "solve" else "")
+    raise UsageError(f"{command} does not read --catalog; only conformal solve --case, "
+                     "conformal check and classify exceptional|global do")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     if argv is None:
@@ -580,6 +596,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # are ValueErrors; an unwritable --out file raises OSError.  Stdout is
     # written outside the try, so a closed stdout reaches entry().
     try:
+        _refuse_unread_catalog(args)
         payload, code = args.handler(args)
         text = _render(payload, args.format)
         if args.out:

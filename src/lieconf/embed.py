@@ -63,7 +63,6 @@ from .reps import (
     casimir,
     decompose_weight_system,
     dynkin_index,
-    pair_weights,
     product_dim,
     weyl_dim,
 )
@@ -236,19 +235,6 @@ def defining_weight(alg: SimpleAlgebra) -> Coords:
 # verification of stated branchings on dominant weights
 
 
-def _restricted_adjoint(v: Dict[Coords, int], family: str) -> Dict[Coords, int]:
-    """The ambient adjoint over the weights ``v`` of its defining module V:
-    V (x) V* less 1 for sl (A), S^2 V for sp (C), Lambda^2 V for so (B, D)."""
-    if family != "A":
-        return pair_weights(v, "sym" if family == "C" else "alt")
-    adj: Counter = Counter()
-    for mu, m in v.items():
-        for nu, n in v.items():
-            adj[tuple(map(sub, mu, nu))] += m * n
-    adj[(0,) * len(mu)] -= 1
-    return adj
-
-
 def _verify_adjoint_branching(
     algs: Sequence[SimpleAlgebra],
     ambient: AlgebraType,
@@ -292,23 +278,32 @@ def _verify_adjoint_branching(
 
     v = weights(Counter(module_components), False)
     family, n = ambient.family, v.total()
-    adjoint_dim = n * n - 1 if family == "A" else n * (n + 1 if family == "C" else n - 1) // 2
 
-    def adjoint_mult(nu: Coords) -> int:
-        # sl: V (x) V* less 1 at 0.  sp, so: the ordered pairs of V weights that
-        # sum to nu, the pairs of a weight with itself added or taken away, halved.
+    def adjoint(pairs: int, diag: int, trivial: int) -> int:
+        # The adjoint over V from the ordered pairs of V weights, the pairs of
+        # a weight with itself and the trivial summand: V (x) V* less 1 for sl,
+        # S^2 V for sp, Lambda^2 V for so.
         if family == "A":
-            return sum(m * v.get(tuple(map(sub, mu, nu)), 0) for mu, m in v.items()) - (not any(nu))
-        pairs = sum(m * v.get(tuple(map(sub, nu, mu)), 0) for mu, m in v.items())
-        diag = 0 if any(x % 2 for x in nu) else v.get(tuple(x // 2 for x in nu), 0)
+            return pairs - trivial
         return (pairs + diag if family == "C" else pairs - diag) // 2
 
-    # k (+) p at its dominant weights, the products of its factors' ones.
+    def at(nu: Coords, pairs: int) -> int:
+        diag = 0 if any(x % 2 for x in nu) else v.get(tuple(x // 2 for x in nu), 0)
+        return adjoint(pairs, diag, not any(nu))
+
+    # k (+) p at its dominant weights, the products of its factors' ones,
+    # against the adjoint at each from the pairs of V weights differing by
+    # it.  V is self-dual for sp and so: these are the pairs summing to it.
     char = weights(expected, True)
-    if adjoint_dim != sum(m * dims[comp] for comp, m in expected.items()) or any(
-        adjoint_mult(nu) != m for nu, m in char.items()
+    if adjoint(n * n, n, 1) != sum(m * dims[comp] for comp, m in expected.items()) or any(
+        at(nu, sum(m * v.get(tuple(map(sub, mu, nu)), 0) for mu, m in v.items())) != m
+        for nu, m in char.items()
     ):
-        derived = decompose_weight_system(algs, _restricted_adjoint(v, family))
+        pairs: Counter = Counter()
+        for mu, m in v.items():
+            for nu, k in v.items():
+                pairs[tuple(map(sub, mu, nu))] += m * k
+        derived = decompose_weight_system(algs, {nu: at(nu, c) for nu, c in pairs.items()})
         raise LieError(
             "stated branching disagrees with the recomputed decomposition: "
             f"derived {derived.components}, stated {dict(expected)}"

@@ -365,6 +365,26 @@ class TestClassify:
         (["classify", "table1", "B3", "--max-rank", "8"], "only sl-irreducible does"),
         (["conformal", "solve", "--case", "spsp:2,2", "--ambient", "E8"], "with --ambient"),
         (["conformal", "solve", "--case", "spsp:2,2", "--factors", "A1"], "with --factors"),
+        (["qseries", "char", "delta", "7", "--order", "3"], "qseries char delta does not read ell"),
+        (["qseries", "char", "weyl_M3", "1"], "qseries char weyl_M3 does not read ell"),
+        # Only conformal solve --case, conformal check and classify
+        # exceptional|global read --catalog; the absent file is never opened.
+        (["--catalog", "absent.json", "algebra", "info", "A1"], "algebra info does not read --catalog"),
+        (["--catalog", "absent.json", "rep", "dim", "A1", "1"], "rep dim does not read --catalog"),
+        (["rep", "casimir", "A1", "1", "--catalog", "absent.json"], "rep casimir does not read"),
+        (["rep", "index", "A1", "1", "--catalog", "absent.json"], "rep index does not read"),
+        (["rep", "weights", "A1", "1", "--catalog", "absent.json"], "rep weights does not read"),
+        (["--catalog", "absent.json", "rep", "tensor", "A1", "1", "1"], "rep tensor does not read"),
+        (["branch", "dual-pair", "slsl", "2", "2", "--catalog", "absent.json"],
+         "branch dual-pair does not read --catalog"),
+        (["conformal", "solve", "--ambient", "B3", "--factors", "G2", "--catalog", "absent.json"],
+         "conformal solve without --case does not read --catalog"),
+        (["classify", "table2", "--catalog", "absent.json"], "classify table2 does not read --catalog"),
+        (["--catalog", "absent.json", "classify", "so-irreducible"], "so-irreducible does not read"),
+        (["classify", "sl-irreducible", "--catalog", "absent.json"], "sl-irreducible does not read"),
+        (["classify", "table1", "B3", "--catalog", "absent.json"], "table1 does not read --catalog"),
+        (["qseries", "char", "delta", "--catalog", "absent.json"], "qseries char does not read"),
+        (["--catalog", "absent.json", "qseries", "verify", "eq92"], "qseries verify does not read"),
     ],
 )
 def test_an_argument_the_command_does_not_read_is_refused(argv, named):
@@ -442,6 +462,11 @@ class TestQseries:
         assert doc["ell"] == 1
         assert doc["rows"][0]["exponent"] == "15/8"
         assert doc["rows"][0]["coefficient"] == "2"
+
+    @pytest.mark.parametrize("model", ["weyl_M3", "delta"])
+    def test_ell_zero_passes_where_ell_is_not_read(self, model):
+        found = run(["qseries", "char", model, "0", "--order", "3"])
+        assert found[0] == 0 and found == run(["qseries", "char", model, "--order", "3"])
 
     def test_verify_banner_and_exit_code(self):
         code, out, err = run(["qseries", "verify", "eq92", "--order", "50"])

@@ -333,6 +333,22 @@ class TestRealRootsAgainstDivisorSearch:
         assert _expected_cap(ints) is None
         assert _root_keys(_real_roots(ints)) == _root_keys(divisor_search_real_roots(ints))
 
+    @pytest.mark.parametrize("ints, roots", [
+        # A cubic whose end coefficient is MAX_LEVEL_COEFF, and one past it.
+        ([-2**24, 0, 0, 1], ["256"]),
+        ([-(2**24 + 1), 0, 0, 1], None),
+        # A quadratic whose non-square discriminant is 5 * MAX_LEVEL_COEFF**2,
+        # and one past it.
+        ([-5 * 2**46, 0, 1], ["(0+8388608*sqrt(5))", "(0-8388608*sqrt(5))"]),
+        ([-(5 * 2**46 + 1), 0, 1], None),
+    ])
+    def test_each_cap_admits_its_bound(self, ints, roots):
+        if roots is None:
+            with pytest.raises(SizeError):
+                _real_roots(ints)
+        else:
+            assert [str(r) for r in _real_roots(ints)] == roots
+
 
 def _entries(case):
     return _charge_entries(build_algebra(case.ambient), case.sub)

@@ -618,9 +618,11 @@ class TestVerifyAdjointBranching:
 
     def test_non_character_multiset_is_rejected(self, monkeypatch):
         # The stated A2 adjoint plus omega_1 is larger than the restricted
-        # adjoint, whose mismatch-path rebuild is patched to {(1, 0): 1, (0, 0): 1}.
+        # adjoint, whose mismatch-path rebuild reaches the peel swapped for
+        # {(1, 0): 1, (0, 0): 1}, no character.
+        peel = embed.decompose_weight_system
         monkeypatch.setattr(
-            embed, "_restricted_adjoint", lambda v, family: {(1, 0): 1, (0, 0): 1}
+            embed, "decompose_weight_system", lambda algs, ws: peel(algs, {(1, 0): 1, (0, 0): 1})
         )
         with pytest.raises(NotACharacter):
             embed._verify_adjoint_branching((self.A2,), self.A2.type, [((1, 0),)], {((1, 0),): 1})
