@@ -412,15 +412,15 @@ def _cmd_qseries(args) -> Handler:
     from .qseries import character, verify_identity
 
     if args.qop == "char":
-        reads_ell = args.model in ("sl2_m32", "sl2_m4")
-        if args.ell and not reads_ell:
+        ell, reads_ell = args.ell or 0, args.model in ("sl2_m32", "sl2_m4")
+        if ell and not reads_ell:
             raise UsageError(f"qseries char {args.model} does not read ell; only sl2_m32 and "
                              "sl2_m4 do")
-        series = character(args.model, args.ell, args.order)
+        series = character(args.model, ell, args.order)
         payload = {
-            "title": f"character {args.model}" + (f" (ell={args.ell})" if reads_ell else ""),
+            "title": f"character {args.model}" + (f" (ell={ell})" if reads_ell else ""),
             "model": args.model,
-            "ell": args.ell,
+            "ell": ell,
             "order": args.order,
             "series": str(series),
             "columns": ["exponent", "coefficient"],
@@ -525,21 +525,21 @@ def _build_parser() -> argparse.ArgumentParser:
         "target",
         choices=("table2", "so-irreducible", "sl-irreducible", "table1", "exceptional", "global"),
     )
-    p_classify.add_argument("type", nargs="?", help="algebra type (table1 only)")
+    late_type = p_classify.add_argument("type", nargs="?", help="algebra type (table1 only)")
     p_classify.add_argument(
         "--bound", type=int, default=argparse.SUPPRESS, help="coordinate bound (table1)")
     p_classify.add_argument(
         "--max-rank", type=int, default=argparse.SUPPRESS, help="rank bound (sl-irreducible)")
-    p_classify.set_defaults(handler=_cmd_classify)
+    p_classify.set_defaults(handler=_cmd_classify, late=late_type)
     _add_common(p_classify)
 
     p_q = sub.add_parser("qseries", help="character series and identity checks")
     q_sub = p_q.add_subparsers(dest="qop", required=True)
     p_char = q_sub.add_parser("char")
     p_char.add_argument("model", choices=CHARACTER_MODELS)
-    p_char.add_argument("ell", nargs="?", type=int, default=0)
+    late_ell = p_char.add_argument("ell", nargs="?", type=int)
     p_char.add_argument("--order", type=int, default=32)
-    p_char.set_defaults(handler=_cmd_qseries, qop="char")
+    p_char.set_defaults(handler=_cmd_qseries, qop="char", late=late_ell)
     _add_common(p_char)
     p_verify = q_sub.add_parser("verify")
     p_verify.add_argument("identity", choices=IDENTITY_NAMES)
@@ -571,6 +571,25 @@ def _glue_level_values(argv: Sequence[str]) -> list:
     return out
 
 
+def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv, letting a leaf's optional positional (its ``late`` action,
+    ``classify``'s TYPE or ``qseries char``'s ell) follow the leaf's options:
+    before Python 3.12 argparse leaves it unset there and refuses its value as
+    unrecognized.  Any other leftover token is refused."""
+    args, extras = parser.parse_known_args(_glue_level_values(argv))
+    late = getattr(args, "late", None)
+    is_value = extras and (not extras[0].startswith("-") or extras[0][1:].isdigit())
+    if is_value and late is not None and getattr(args, late.dest) is None:
+        token = extras.pop(0)
+        try:
+            setattr(args, late.dest, (late.type or str)(token))
+        except ValueError:
+            parser.error(f"argument {late.dest}: invalid {late.type.__name__} value: {token!r}")
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
 def _refuse_unread_catalog(args) -> None:
     """UsageError when --catalog is given to a command that does not read it."""
     if args.catalog is None:
@@ -589,7 +608,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_glue_level_values(argv))
+        args = _parse(parser, argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # UsageError and every layer's error (LieError, SizeError, SeriesError)

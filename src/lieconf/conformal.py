@@ -27,6 +27,7 @@ from .reps import (
     casimir,
     dual_weight,
     irreps_of_dim,
+    square_decompose,
     tensor_decompose,
     weyl_dim,
 )
@@ -400,13 +401,28 @@ def _search_rows(max_rank: int) -> List[SimpleAlgebra]:
     if max_rank > MAX_SEARCH_RANK:
         raise SizeError(
             f"rank bound {max_rank} exceeds the cap MAX_SEARCH_RANK = {MAX_SEARCH_RANK}")
-    rows: List[SimpleAlgebra] = []
-    for fam, lo in (("B", 2), ("C", 2)):
-        for n in range(lo, max_rank + 1):
-            rows.append(build_algebra(AlgebraType(fam, n)))
-    rows.append(build_algebra(AlgebraType("F", 4)))
-    rows.append(build_algebra(AlgebraType("G", 2)))
-    return rows
+    names = [f"{fam}{n}" for fam in "BC" for n in range(2, max_rank + 1)] + ["F4", "G2"]
+    return [build_algebra(name) for name in names]
+
+
+def _irreducible_walk(rows, dims, splits) -> List[IrreducibleFinding]:
+    """Both irreducible-complement searches: for each row's small-index weight
+    mu and each (v, dim ambient) of ``dims(alg, Casimir of mu)``, p is
+    (dim ambient - dim k) / dim L(mu) copies of L(mu), and the survivors are the
+    v-dimensional L(lam) with ``splits(alg, lam, {theta: 1, mu: copies})``."""
+    findings: List[IrreducibleFinding] = []
+    for alg in rows:
+        mu = _table1_weight(alg)
+        if mu is None:
+            continue
+        dim_mu = weyl_dim(alg, mu)
+        for v, dim_g in dims(alg, casimir(alg, mu)):
+            copies, rest = divmod(dim_g - alg.dim, dim_mu)
+            if copies > 0 and not rest:
+                parts = {(alg.theta,): 1, (mu,): copies}
+                findings.extend(IrreducibleFinding(alg.type, lam, v, copies)
+                                for lam in irreps_of_dim(alg, v) if splits(alg, lam, parts))
+    return findings
 
 
 def search_so_irreducible() -> List[IrreducibleFinding]:
@@ -414,30 +430,21 @@ def search_so_irreducible() -> List[IrreducibleFinding]:
 
     The candidates are B_n and C_n of rank at most 12, F4 and G2.  For each
     candidate with a small-index root-lattice weight mu, the Casimir of mu
-    must equal 2 d h (v-4) / (d (v-4) + v (v-1)) with d = dim k,
-    h the dual Coxeter number, and v = dim V; so(v) must split as k plus p
-    copies of L(mu); and k must actually possess an irreducible of dimension
-    v.  Survivors are returned with their v-dimensional highest weight.
+    must equal 2 d h (v-4) / (d (v-4) + v (v-1)) with d = dim k, h the dual
+    Coxeter number and v = dim V, and so(V) = Lambda^2 V must split as k plus
+    p copies of L(mu) for a v-dimensional irreducible V, which is returned.
     """
-    findings: List[IrreducibleFinding] = []
-    for alg in _search_rows(12):
-        mu = _table1_weight(alg)
-        if mu is None:
-            continue
-        lam2 = casimir(alg, mu)
+
+    def dims(alg: SimpleAlgebra, lam2: Fraction) -> List[Tuple[int, int]]:
         d, h = alg.dim, alg.dual_coxeter
         # lam2 v^2 + (lam2 d - lam2 - 2 d h) v + (8 d h - 4 lam2 d) = 0
         coeffs = [8 * d * h - 4 * lam2 * d, lam2 * d - lam2 - 2 * d * h, lam2]
         roots = _real_roots([int(c * lam2.denominator) for c in coeffs])
-        for v in (int(r.p) for r in roots if r.is_rational and r.p.denominator == 1 and r.p > 4):
-            numer = v * (v - 1) // 2 - d
-            dim_mu = weyl_dim(alg, mu)
-            if numer <= 0 or numer % dim_mu:
-                continue
-            p = numer // dim_mu
-            for lam in irreps_of_dim(alg, v):
-                findings.append(IrreducibleFinding(alg.type, lam, v, p))
-    return findings
+        vs = (int(r.p) for r in roots if r.is_rational and r.p.denominator == 1 and r.p > 4)
+        return [(v, v * (v - 1) // 2) for v in vs]
+
+    return _irreducible_walk(_search_rows(12), dims, lambda alg, lam, parts: (
+        square_decompose((alg,), (lam,), "alt").components == parts))
 
 
 def search_sl_irreducible(max_rank: int) -> List[IrreducibleFinding]:
@@ -450,33 +457,16 @@ def search_sl_irreducible(max_rank: int) -> List[IrreducibleFinding]:
     """
     if max_rank < 2:
         raise LieError("max_rank must be at least 2")
-    findings: List[IrreducibleFinding] = []
+
+    def dims(alg: SimpleAlgebra, lam2: Fraction) -> List[Tuple[int, int]]:
+        v = Fraction(2 * alg.dim * alg.dual_coxeter) / lam2 - 1 - alg.dim
+        return [(int(v), int(v) ** 2 - 1)] if v.denominator == 1 and v >= 2 else []
+
+    # B2 = C2, which the C rows already hold
     rows = [alg for alg in _search_rows(max_rank) if not (alg.family == "B" and alg.rank == 2)]
-    for alg in rows:
-        mu = _table1_weight(alg)
-        if mu is None:
-            continue
-        lam2 = casimir(alg, mu)
-        d, h = alg.dim, alg.dual_coxeter
-        v_frac = Fraction(2 * d * h) / lam2 - 1 - d
-        if v_frac.denominator != 1 or v_frac < 2:
-            continue
-        v = int(v_frac)
-        dim_mu = weyl_dim(alg, mu)
-        numer = v * v - 1 - d
-        if numer <= 0 or numer % dim_mu:
-            continue
-        p = numer // dim_mu
-        for lam in irreps_of_dim(alg, v):
-            allowed = {
-                (zero_weight(alg),): 1,
-                (alg.theta,): 1,
-                (mu,): p,
-            }
-            product = tensor_decompose(alg, lam, dual_weight(alg, lam))
-            if product.components == allowed:
-                findings.append(IrreducibleFinding(alg.type, lam, v, p))
-    return findings
+    return _irreducible_walk(rows, dims, lambda alg, lam, parts: (
+        tensor_decompose(alg, lam, dual_weight(alg, lam)).components
+        == {(zero_weight(alg),): 1, **parts}))
 
 
 def table1_scan(alg: Union[SimpleAlgebra, AlgebraType, str], coord_bound: int) -> List[Coords]:
@@ -520,14 +510,16 @@ def a1_exclusion_check(d: Rational, k: Level) -> A1ExclusionResult:
     The first variant solves (l^2/2 + l) / (2 (d k + 1)) = 1 for an integer
     l; the second replaces the numerator by the Casimir eigenvalue
     (l^2 - 1)/2 and the shifted denominator by 2 (d k + 2).  Irrational d k
-    admits no integer solution in either variant.
+    admits no integer solution in either variant, nor does d k = n/m in lowest
+    terms unless m divides 4: the variants read m (l^2 + 2 l - 4) = 4 n and
+    m (l^2 - 9) = 4 n, so m divides 4 n, hence 4, as gcd(n, m) = 1.
     """
     d = Fraction(d)
     if d <= 0:
         raise LieError("the sl(2) index d must be positive")
     kn = _as_number(k)
     dk = d * kn
-    if isinstance(dk, QuadraticNumber):
+    if isinstance(dk, QuadraticNumber) or 4 % dk.denominator:
         return A1ExclusionResult(None, None, False, False)
 
     n, m = dk.numerator, dk.denominator

@@ -468,6 +468,42 @@ class TestQseries:
         found = run(["qseries", "char", model, "0", "--order", "3"])
         assert found[0] == 0 and found == run(["qseries", "char", model, "--order", "3"])
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize(
+        "before, after",
+        [
+            (["sl2_m32", "1", "--order", "3"], ["sl2_m32", "--order", "3", "1"]),
+            (["sl2_m4", "2", "--order", "3"], ["sl2_m4", "--order", "3", "2"]),
+            (["sl2_m4", "0", "--order", "5"], ["sl2_m4", "--order=5", "0"]),
+            (["delta", "0", "--order", "5"], ["delta", "--order", "5", "0"]),
+            (["sl2_m32", "-1", "--order", "3"], ["sl2_m32", "--order", "3", "-1"]),
+        ],
+    )
+    def test_ell_may_follow_the_order(self, fmt, before, after):
+        found = run(["--format", fmt, "qseries", "char"] + before)
+        assert found == run(["--format", fmt, "qseries", "char"] + after)
+        assert found[0] == (2 if "-1" in before else 0)
+
+    def test_type_may_follow_the_bound(self):
+        found = run(["classify", "table1", "B3", "--bound", "2"])
+        assert found[0] == 0 and found == run(["classify", "table1", "--bound", "2", "B3"])
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["qseries", "char", "sl2_m32", "0", "--order", "3", "1"], "unrecognized arguments: 1"),
+            (["qseries", "char", "sl2_m32", "--order", "3", "1", "2"], "unrecognized arguments: 2"),
+            (["qseries", "char", "sl2_m32", "--order", "3", "x"], "argument ell: invalid int"),
+            (["qseries", "char", "sl2_m32", "--order", "3", "--bogus"], "arguments: --bogus"),
+            (["qseries", "verify", "eq92", "--order", "3", "1"], "unrecognized arguments: 1"),
+            (["classify", "table1", "B3", "--bound", "2", "A2"], "unrecognized arguments: A2"),
+            (["classify", "table1", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_any_other_stray_token_is_refused(self, argv, message):
+        code, out, err = run(argv)
+        assert code == 2 and out == "" and message in err
+
     def test_verify_banner_and_exit_code(self):
         code, out, err = run(["qseries", "verify", "eq92", "--order", "50"])
         assert code == 0 and err == ""

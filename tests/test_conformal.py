@@ -294,10 +294,11 @@ class TestRealRootsAgainstDivisorSearch:
         global_report()
         a1_exclusion_survey()
         polys = set(seen)
-        # 111 table2 cells, 114 report rows (15 catalog cases among them), the
-        # 8 excluded candidates, and both sl(2) variants at the 7 rational
-        # survey rows (the 4 surd rows solve nothing); many are shared
-        assert len(seen) == 111 + 114 + 8 + 2 * 7
+        # 111 table2 cells, 114 report rows (15 catalog cases among them) and
+        # the 8 excluded candidates; many are shared.  The survey's sl(2)
+        # variants solve nothing: its 4 surd rows are irrational, and each of
+        # its 7 rational rows has d k = n/m with m not dividing 4
+        assert len(seen) == 111 + 114 + 8
         # every one is at most a quadratic, so none reaches the divisor search
         assert max(len(ints) for ints in polys) == 3
         for ints in polys:
@@ -680,6 +681,25 @@ class TestA1Exclusion:
         assert a1_exclusion_check(1, Fraction(-10905188, 6710885)).empty
         assert a1_exclusion_check(1, Fraction(-75497474, 33554433)).empty
 
+    @pytest.mark.parametrize(
+        "m", [3, 5, 6, 7, 8, 12, 35, 2**23 - 1, 2**23 + 1, 2**61 - 1, 10**30 + 7])
+    def test_a_denominator_not_dividing_four_solves_nothing(self, m, monkeypatch):
+        # m (l^2 + 2 l - 4) = 4 n and m (l^2 - 9) = 4 n need m | 4 when
+        # gcd(n, m) = 1, so no quadratic is solved, at any size of n or m.
+        # At m = 2^23 - 1 the row adds d k = (2^23 + 1) / m, which raised
+        # SizeError on a 52-bit non-square discriminant, though the
+        # perfect-square oracle returns the empty result.
+        monkeypatch.setattr(conformal, "_real_roots", None)
+        levels = [Fraction(2**23 + 1, 2**23 - 1)] if m == 2**23 - 1 else []
+        levels += [Fraction(n, m) for n in (*range(-30, 31), 2**60 + 1, -(10**40) - 1)
+                   if 4 % Fraction(n, m).denominator]
+        assert len(levels) >= 30
+        for dk in levels:
+            res = a1_exclusion_check(1, dk)
+            assert res.empty and tuple(res) == isqrt_a1_exclusion(1, dk), dk
+        # d and k enter only through their product
+        assert a1_exclusion_check(2**23 + 1, Fraction(1, 2**23 - 1)).empty
+
     def test_huge_level_fails_at_once(self):
         with pytest.raises(SizeError):
             a1_exclusion_check(1, 10**30)
@@ -701,6 +721,31 @@ class TestSearches:
         assert found == [
             (f"C{n}", tuple(int(i == 0) for i in range(n)), 2 * n, 1) for n in range(2, 7)
         ]
+
+    @pytest.mark.parametrize(
+        "search, typ, v, dim_ambient, weights, copies",
+        [
+            # so(14) = k + 5 L(omega_2) by dimension, for both 14-dimensional irreducibles of C3
+            (search_so_irreducible, "C3", 14, 91, [(0, 0, 1), (0, 1, 0)], 5),
+            # sl(8) = k + 6 L(omega_1) by dimension, for B3's spin module
+            (lambda: search_sl_irreducible(3), "B3", 8, 63, [(0, 0, 1)], 6),
+        ],
+    )
+    def test_split_rejects_what_the_dimension_count_admits(
+        self, monkeypatch, search, typ, v, dim_ambient, weights, copies
+    ):
+        walk = conformal._irreducible_walk
+        alg = build_algebra(typ)
+
+        def dims(alg, lam2):
+            return [(v, dim_ambient)]
+
+        counted = walk([alg], dims, lambda alg, lam, parts: True)
+        assert [(f.weight, f.copies) for f in counted] == [(w, copies) for w in weights]
+        # the search's own split test, on the same row and v, keeps none
+        monkeypatch.setattr(conformal, "_irreducible_walk",
+                            lambda rows, _dims, splits: walk([alg], dims, splits))
+        assert search() == []
 
     def test_sl_search_respects_rank_bound(self):
         assert len(search_sl_irreducible(3)) == 2
