@@ -1,17 +1,18 @@
 """Root systems and invariant bilinear forms of the finite-dimensional simple Lie algebras.
 
 Everything is exact: Cartan data over integers, the normalized invariant form
-(long roots of squared length 2) as an integer Gram matrix over one common
-denominator, with `fractions.Fraction` only at the public boundary.  Weights and roots
+(long roots of squared length 2) read off the positive roots on integers over
+one denominator, with `fractions.Fraction` only at the public boundary.  Weights and roots
 are plain tuples of coordinates in the fundamental-weight basis; the owning
 algebra is always passed explicitly.
 """
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import compress
+from operator import mul
 from typing import NamedTuple, Sequence, Union
 
 Coords = tuple
@@ -108,35 +109,6 @@ def _dynkin_data(fam: str, n: int) -> tuple[list[int], list[tuple[int, int]]]:
     raise LieError(f"unknown family {fam!r}")
 
 
-def _invert_integer(matrix: Sequence[Sequence[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """Adjugate and determinant of an integer matrix, so inverse = adj / det,
-    by fraction-free Gauss-Jordan (Bareiss/Montante) elimination.
-
-    Each elimination step computes ``(pivot * a_ij - a_ik * a_kj) / prev``
-    where the division by the previous pivot is exact (Sylvester's identity),
-    so intermediate values stay small integers.  The run leaves every diagonal
-    entry equal to the determinant and the adjugate in the augmented half.
-    Every leading principal minor must be non-zero, as for Cartan matrices.
-    """
-    n = len(matrix)
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
-    prev = 1
-    for k in range(n):
-        pivot = aug[k][k]
-        if pivot == 0:
-            raise LieError("zero leading principal minor in a Cartan matrix")
-        row_k = aug[k]
-        for i in range(n):
-            if i == k:
-                continue
-            row_i = aug[i]
-            factor = row_i[k]
-            for j in range(2 * n):
-                row_i[j] = (pivot * row_i[j] - factor * row_k[j]) // prev
-        prev = pivot
-    return tuple(tuple(row[n:]) for row in aug), prev
-
-
 class SimpleAlgebra:
     """A simple Lie algebra with its root system and normalized invariant form.
 
@@ -145,6 +117,9 @@ class SimpleAlgebra:
     and only up to rank ``MAX_TABLE_RANK``.  The positive roots come from a
     walk up from the simple roots by simple reflections, which is checked
     against the closed forms: the root count and h^vee = (rho, theta) + 1.
+    The form is read off them: the Killing form is 2 h^vee times the normalized
+    one, so (lam, mu) is the sum over alpha > 0 of (lam, alpha)(mu, alpha) / h^vee.
+    ``build_algebra`` shares one instance per type, so no attribute can be set or deleted.
 
     Attributes
     ----------
@@ -152,21 +127,25 @@ class SimpleAlgebra:
         of the simple roots; ``d`` gives the d_i themselves.
     cartan : rows C[i][j] = 2(alpha_i, alpha_j)/(alpha_i, alpha_i), over integers;
         column j holds the fundamental-weight coordinates of the simple root alpha_j.
-        ``_adjugate`` holds its inverse as (adj, det) over integers.
-    gram / form_denom : the Gram matrix (omega_i, omega_j) = d_i (C^{-1})_ij of the
-        fundamental weights, gram / form_denom in lowest terms, from the adjugate.
     positive_roots_omega / positive_roots_alpha : aligned coordinate lists.
+    root_columns : for each coordinate i, the pairs (r, 6 d_i a_i) of the positive
+        roots alpha_r = sum_i a_i alpha_i with a_i != 0, r the index in
+        positive_roots_alpha; 6 d_i a_i = 6 (omega_i, alpha_r).
     theta / theta_short : highest root and highest short root (equal when simply
         laced), the dominant roots of the two root lengths.
     """
 
     def __init__(self, typ: AlgebraType):
-        self.type = typ
-        self.family = typ.family
-        self.rank = n = typ.rank
-        self.dim, self.dual_coxeter = _CLOSED_FORMS[typ.family](n)
-        self.num_positive = (self.dim - n) // 2
-        self.iso_note = "isomorphic to A3" if (typ.family, n) == ("D", 3) else None
+        dim, hv = _CLOSED_FORMS[typ.family](typ.rank)
+        vars(self).update(
+            type=typ, family=typ.family, rank=typ.rank, dim=dim, dual_coxeter=hv,
+            num_positive=(dim - typ.rank) // 2,
+            iso_note="isomorphic to A3" if typ == ("D", 3) else None)
+
+    def __setattr__(self, *_):  # frozen; cached_property writes to vars(self) directly
+        raise AttributeError("SimpleAlgebra is immutable")
+
+    __delattr__ = __setattr__
 
     # -- tables, built on first use ------------------------------------------
 
@@ -206,23 +185,6 @@ class SimpleAlgebra:
         return tuple(zip(*self.cartan))
 
     @cached_property
-    def _adjugate(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        return _invert_integer(self.cartan)
-
-    # (omega_i, omega_j) = d_i (C^{-1})_ij = 6 d_i adj_ij / (6 det), in lowest terms:
-    # form_denom = 6 det / g and gram_ij = 6 d_i adj_ij / g, g the gcd of them all.
-    @cached_property
-    def form_denom(self) -> int:
-        adj, det = self._adjugate
-        return 6 * det // math.gcd(6 * det, *(x * a for x, row in zip(self.d6, adj) for a in row))
-
-    @cached_property
-    def gram(self) -> tuple[tuple[int, ...], ...]:
-        adj, det = self._adjugate
-        g = 6 * det // self.form_denom
-        return tuple(tuple(x * a // g for a in row) for x, row in zip(self.d6, adj))
-
-    @cached_property
     def _roots(self) -> tuple:
         """Walk up from the simple roots by simple reflections and check the result.
 
@@ -254,16 +216,16 @@ class SimpleAlgebra:
             raise LieError(
                 f"{self.type}: the reflection walk gives {len(alphas)} positive roots, "
                 f"the closed form {self.num_positive}")
-        dominant = [omega[a] for a in alphas if min(omega[a]) >= 0]
+        dominant = [a for a in alphas if min(omega[a]) >= 0]
         if len(dominant) != len(set(self.d6)):
             raise LieError(
                 f"{self.type}: {len(dominant)} dominant roots for {len(set(self.d6))} root lengths")
-        theta = dominant[-1]
-        hv = self.inner_product(self.rho, theta) + 1
+        theta = dominant[-1]  # (rho, alpha_i) = d_i, so (rho, theta) = sum_i d_i a_i
+        hv = Fraction(sum(map(mul, self.d6, theta)), 6) + 1
         if hv != self.dual_coxeter:  # also catches a non-integral (rho, theta)
             raise LieError(
                 f"{self.type}: (rho, theta) + 1 = {hv}, the closed form gives {self.dual_coxeter}")
-        return tuple(alphas), tuple(omega[a] for a in alphas), theta, dominant[0]
+        return tuple(alphas), tuple(omega[a] for a in alphas), omega[theta], omega[dominant[0]]
 
     @property
     def positive_roots_alpha(self) -> tuple[Coords, ...]:
@@ -281,6 +243,21 @@ class SimpleAlgebra:
     def theta_short(self) -> Coords:
         return self._roots[3]
 
+    @cached_property
+    def root_columns(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        rows = (tuple(map(mul, self.d6, a)) for a in self.positive_roots_alpha)
+        return tuple(tuple(compress(enumerate(col), col)) for col in zip(*rows))
+
+    def root_pairings(self, lam: Sequence[Rational]) -> dict[int, Rational]:
+        """6 (lam, alpha) for each positive root alpha that meets lam's support,
+        keyed by its index in positive_roots_alpha; every other root pairs to 0."""
+        pairs: dict[int, Rational] = {}
+        for column, x in zip(self.root_columns, lam):
+            if x:
+                for r, entry in column:
+                    pairs[r] = pairs.get(r, 0) + entry * x
+        return pairs
+
     # -- basic operations ---------------------------------------------------
 
     def check_weight(self, lam: Sequence[Rational]) -> Coords:
@@ -290,14 +267,12 @@ class SimpleAlgebra:
         return tuple(lam)
 
     def inner_product(self, lam: Sequence[Rational], mu: Sequence[Rational]) -> Fraction:
-        """Normalized invariant form (lam, mu), both in fundamental-weight coordinates."""
+        """Normalized invariant form (lam, mu), both in fundamental-weight coordinates:
+        the sum over alpha > 0 of (lam, alpha)(mu, alpha) / h^vee."""
         self.check_weight(lam)
         self.check_weight(mu)
-        total = 0
-        for li, row in zip(lam, self.gram):
-            if li:
-                total += li * sum(g * mj for g, mj in zip(row, mu) if mj)
-        return Fraction(total, self.form_denom)
+        p, q = self.root_pairings(lam), self.root_pairings(mu)
+        return Fraction(sum(s * q[r] for r, s in p.items() if r in q), 36 * self.dual_coxeter)
 
     def to_dominant(self, w: Sequence[Rational]) -> tuple[Coords, int]:
         """Dominant representative of the Weyl orbit of w, with the sign (-1)^length."""
@@ -320,10 +295,14 @@ class SimpleAlgebra:
         return all(x >= 0 for x in w)
 
     def in_root_lattice(self, lam: Sequence[Rational]) -> bool:
-        """Whether lam has integer coordinates in the simple-root basis: adj * lam = 0 mod det."""
+        """Whether lam has integer coordinates in the simple-root basis.  As
+        h^vee lam = sum over alpha > 0 of (lam, alpha) alpha, coordinate j is
+        the sum over column j of 6 (lam, alpha) 6 d_j a_j / (36 d_j h^vee)."""
         self.check_weight(lam)
-        adj, det = self._adjugate
-        return all(sum(a * x for a, x in zip(row, lam)) % det == 0 for row in adj)
+        pairs = self.root_pairings(lam)
+        return all(
+            sum(pairs.get(r, 0) * entry for r, entry in column) % (6 * x * self.dual_coxeter) == 0
+            for x, column in zip(self.d6, self.root_columns))
 
     # -- identity -----------------------------------------------------------
 

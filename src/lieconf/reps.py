@@ -14,7 +14,7 @@ import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress
+from itertools import chain
 from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Dict, Mapping, NamedTuple, Sequence, Tuple
@@ -37,29 +37,25 @@ class _WeylData(NamedTuple):  # of the positive roots alpha, in positive_roots_a
     rows: Tuple[Tuple[int, ...], ...]  # 6 d_i a_i: row . lam is 6 (lam, alpha)
     at_rho: Tuple[int, ...]  # 6 (rho, alpha)
     norms: Tuple[int, ...]  # 6 (alpha, alpha)
-    columns: Tuple[Tuple[Tuple[int, int], ...], ...]  # (root, entry) per non-zero entry
 
 
 @lru_cache(maxsize=None)
 def _weyl_data(alg: SimpleAlgebra) -> _WeylData:
     rows = tuple(tuple(map(mul, alg.d6, a)) for a in alg.positive_roots_alpha)
     norms = tuple(sum(map(mul, a, row)) for a, row in zip(alg.positive_roots_omega, rows))
-    columns = tuple(tuple(compress(enumerate(col), col)) for col in zip(*rows))
-    return _WeylData(rows, tuple(map(sum, rows)), norms, columns)
+    return _WeylData(rows, tuple(map(sum, rows)), norms)
 
 
 @lru_cache(maxsize=None)
 def _height_form(alg: SimpleAlgebra) -> tuple[int, ...]:
-    """Linear form lam -> (lam, 2 rho) * form_denom, as integer coefficients
-    on omega-coordinates."""
-    return tuple(2 * sum(row) for row in alg.gram)
+    """Linear form lam -> 6 (lam, 2 rho) on omega-coordinates: 2 rho is the sum
+    of the positive roots, so coefficient i is the sum of root column i."""
+    return tuple(sum(entry for _, entry in column) for column in alg.root_columns)
 
 
 def height_form(algs: Sequence[SimpleAlgebra]) -> tuple[int, ...]:
-    """Integer coefficients of w -> (w, 2 rho) * L on concatenated product
-    coordinates, L the lcm of the factors' form denominators."""
-    denom = math.lcm(*(a.form_denom for a in algs))
-    return tuple(c * (denom // a.form_denom) for a in algs for c in _height_form(a))
+    """Integer coefficients of w -> 6 (w, 2 rho) on concatenated product coordinates."""
+    return tuple(chain.from_iterable(map(_height_form, algs)))
 
 
 def _check_dominant(alg: SimpleAlgebra, lam: Sequence[Rational]) -> Coords:
@@ -83,13 +79,8 @@ def weyl_dim(alg: SimpleAlgebra, lam: Sequence[Rational]) -> int:
 def _weyl_dim_cached(alg: SimpleAlgebra, lam: Coords) -> int:
     # Only the roots that meet lam's support move (lam + rho, alpha) off
     # (rho, alpha); every other factor cancels its own denominator.
-    table = _weyl_data(alg)
-    at_rho = table.at_rho
-    shifts: Dict[int, int] = {}
-    for column, x in zip(table.columns, lam):
-        if x:
-            for r, entry in column:
-                shifts[r] = shifts.get(r, 0) + entry * x
+    at_rho = _weyl_data(alg).at_rho
+    shifts = alg.root_pairings(lam)
     num = math.prod(at_rho[r] + shift for r, shift in shifts.items())
     den = math.prod(at_rho[r] for r in shifts)
     q, r = divmod(num, den)
@@ -99,10 +90,12 @@ def _weyl_dim_cached(alg: SimpleAlgebra, lam: Coords) -> int:
 
 
 def casimir(alg: SimpleAlgebra, lam: Sequence[Rational]) -> Fraction:
-    """Quadratic Casimir eigenvalue (lam, lam + 2 rho) under the normalized form."""
+    """Quadratic Casimir eigenvalue (lam, lam + 2 rho) under the normalized form:
+    the sum over alpha > 0 of s (s + 2 * 6 (rho, alpha)) / (36 h^vee), s = 6 (lam, alpha)."""
     lam = alg.check_weight(lam)
-    shifted = tuple(x + 2 for x in lam)
-    return alg.inner_product(lam, shifted)
+    at_rho = _weyl_data(alg).at_rho
+    total = sum(s * (s + 2 * at_rho[r]) for r, s in alg.root_pairings(lam).items())
+    return Fraction(total, 36 * alg.dual_coxeter)
 
 
 def dynkin_index(alg: SimpleAlgebra, lam: Sequence[Rational], convention: str = "normalized") -> Fraction:
@@ -150,20 +143,22 @@ def _weight_system(alg: SimpleAlgebra, lam: Coords) -> Mapping[Coords, int]:
     # Dominant weights: every dominant mu with lam - mu in the positive root
     # cone is reached from lam by subtracting positive roots while staying
     # dominant (Stembridge), and lam - mu stays in that cone on the way.
+    # depth[mu] sums the rows of the roots subtracted: 6 d_i c_i, with
+    # lam - mu = sum_i c_i alpha_i, whatever the path.
     roots = alg.positive_roots_omega
-    heights = [sum(a) for a in alg.positive_roots_alpha]
-    depth = {lam: 0}
+    table = _weyl_data(alg)
+    depth = {lam: (0,) * alg.rank}
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
-            for a, ht in zip(roots, heights):
+            for a, a6 in zip(roots, table.rows):
                 nu = tuple(x - y for x, y in zip(mu, a))
                 if min(nu) >= 0 and nu not in depth:
-                    depth[nu] = depth[mu] + ht
+                    depth[nu] = tuple(map(add, depth[mu], a6))
                     nxt.append(nu)
         frontier = nxt
-    dominants = sorted(depth, key=depth.__getitem__)
+    dominants = sorted(depth, key=lambda mu: sum(depth[mu]))
 
     # Each Weyl orbit, spread down from its dominant weight by the simple
     # reflections s_i with w_i > 0, keyed to that dominant weight.
@@ -185,14 +180,8 @@ def _weight_system(alg: SimpleAlgebra, lam: Coords) -> Mapping[Coords, int]:
 
     # Freudenthal over the dominant weights, by increasing depth, on integers:
     # (nu, alpha) = (nu, alpha)_6 / 6 with (nu, alpha)_6 = sum_i nu_i 6 d_i a_i,
-    # and |v|^2 = v.gram.v / form_denom.
-    gram, denom = alg.gram, alg.form_denom
-
-    def norm(v: Coords) -> int:
-        return sum(x * sum(g * y for g, y in zip(row, v)) for x, row in zip(v, gram) if x)
-
-    table = _weyl_data(alg)
-    top = norm(tuple(x + 1 for x in lam))
+    # and |lam + rho|^2 - |mu + rho|^2 = (lam - mu, lam + mu + 2 rho)
+    # = sum_i depth[mu]_i (lam_i + mu_i + 2) / 6.
     mult: Dict[Coords, int] = {lam: 1}
     for mu in dominants[1:]:
         acc = 0
@@ -207,7 +196,7 @@ def _weight_system(alg: SimpleAlgebra, lam: Coords) -> Mapping[Coords, int]:
                 pair += aa
                 nu = tuple(x + y for x, y in zip(nu, a))
                 dom = dom_of.get(nu)
-        m, r = divmod(2 * denom * acc, 6 * (top - norm(tuple(x + 1 for x in mu))))
+        m, r = divmod(2 * acc, sum(b * (x + y + 2) for b, x, y in zip(depth[mu], lam, mu)))
         if r or m <= 0:
             raise LieError(f"Freudenthal recursion failed at {mu} for {lam} of {alg.type}")
         mult[mu] = m

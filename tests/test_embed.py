@@ -190,7 +190,7 @@ class TestDualPairConstruction:
             name for name, attr in vars(liealg.SimpleAlgebra).items()
             if isinstance(attr, cached_property)
         }
-        assert {"_roots", "gram", "cartan"} <= tables
+        assert {"_roots", "root_columns", "cartan"} <= tables
         assert not tables & set(vars(build_algebra("D72")))
 
     def test_indices_match_family_rules(self):

@@ -1,7 +1,7 @@
 """Root systems, Cartan data, and the normalized invariant form."""
 
 from fractions import Fraction
-from math import lcm
+from itertools import product
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -16,7 +16,12 @@ from lieconf.liealg import (
     constructible_types,
     fundamental,
 )
-from oracles import fraction_form, fraction_root_halves, string_closure_roots
+from oracles import (
+    fraction_cartan_inverse,
+    fraction_form,
+    fraction_root_halves,
+    string_closure_roots,
+)
 
 DUAL_COXETER = {
     "A": lambda n: n + 1,
@@ -137,44 +142,52 @@ class TestStructuralInvariants:
         assert alg.dual_coxeter == alg.inner_product(alg.rho, alg.theta) + 1
 
     @pytest.mark.parametrize("typ", all_types(), ids=str)
-    def test_cartan_inverse(self, typ):
-        alg = build_algebra(typ)
-        adj, det = alg._adjugate
-        n = alg.rank
-        for i in range(n):
-            for j in range(n):
-                s = sum(alg.cartan[i][k] * adj[k][j] for k in range(n))
-                assert s == (det if i == j else 0)
-
-    @pytest.mark.parametrize("typ", all_types(), ids=str)
-    def test_form_is_symmetric_and_matches_cartan(self, typ):
-        alg = build_algebra(typ)
-        n = alg.rank
-        for i in range(n):
-            for j in range(n):
-                assert alg.gram[i][j] == alg.gram[j][i]
-        # (omega_i, alpha_j) = delta_ij d_j: pair each fundamental weight
-        # against the simple roots via the form.
-        for j in range(n):
-            alpha = tuple(alg.cartan[t][j] for t in range(n))
-            for i in range(n):
-                got = alg.inner_product(fundamental(alg, i + 1), alpha)
-                assert got == (alg.d[j] if i == j else 0)
-
-    @pytest.mark.parametrize("typ", all_types() + [AlgebraType("D", 72)], ids=str)
-    def test_integer_form_matches_fraction_oracle(self, typ):
-        # gram / form_denom in lowest terms against d_i (C^{-1})_ij by Fraction
-        # Gauss-Jordan, with d_i read off the symmetrized Cartan matrix.
+    def test_form_matches_fraction_oracle(self, typ):
+        # (omega_i, omega_j) read off the roots against d_i (C^{-1})_ij by
+        # Fraction Gauss-Jordan, with d_i read off the symmetrized Cartan matrix.
         alg = build_algebra(typ)
         form = fraction_form(alg)
-        assert alg.form_denom == lcm(*(x.denominator for row in form for x in row))
-        assert alg.gram == tuple(tuple(x * alg.form_denom for x in row) for row in form)
+        omegas = [fundamental(alg, i + 1) for i in range(alg.rank)]
+        assert [[alg.inner_product(u, v) for v in omegas] for u in omegas] == [
+            list(row) for row in form]
         assert alg.d6 == tuple(6 * x for x in fraction_root_halves(alg))
-        adj, det = alg._adjugate
-        n = alg.rank
-        product = [[sum(alg.cartan[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
-                   for i in range(n)]
-        assert product == [[det * (i == j) for j in range(n)] for i in range(n)]
+
+    @pytest.mark.parametrize("typ", all_types() + [AlgebraType("D", 72)], ids=str)
+    def test_form_is_symmetric_and_dual_to_the_simple_roots(self, typ):
+        # On integers, 36 h^vee (u, v) = sum over alpha > 0 of 6 (u, alpha) 6 (v, alpha):
+        # (omega_i, alpha_j) = delta_ij d_j, and (alpha_i, alpha_j) = d_i C_ij is symmetric.
+        alg = build_algebra(typ)
+        n, scale = alg.rank, 6 * alg.dual_coxeter
+        d6, cartan = alg.d6, alg.cartan
+
+        def pairings(w):
+            return {r: s for r, s in alg.root_pairings(w).items() if s}
+
+        def pair(p, q):
+            return sum(s * q[r] for r, s in p.items() if r in q)
+
+        omegas = [pairings(fundamental(alg, i + 1)) for i in range(n)]
+        alphas = [pairings(col) for col in alg.cartan_columns]
+        for j, a in enumerate(alphas):
+            assert [pair(a, w) for w in omegas] == [scale * d6[j] * (i == j) for i in range(n)]
+            for i, b in enumerate(alphas[:j]):
+                assert pair(b, a) == scale * d6[i] * cartan[i][j] == scale * d6[j] * cartan[j][i]
+        if n <= 8:
+            weights = [fundamental(alg, i + 1) for i in range(n)] + list(alg.cartan_columns)
+            for u in weights:
+                for v in weights:
+                    assert alg.inner_product(u, v) == alg.inner_product(v, u)
+
+    @pytest.mark.parametrize("typ", all_types(), ids=str)
+    def test_root_lattice_matches_fraction_oracle(self, typ):
+        # lam is in the root lattice when C^{-1} lam is integral.
+        alg = build_algebra(typ)
+        inverse = fraction_cartan_inverse(alg)
+        k = min(alg.rank, 4)
+        for head in product(range(-1, 3), repeat=k):
+            lam = head + (0,) * (alg.rank - k)
+            integral = all(sum(x * y for x, y in zip(row, lam)).denominator == 1 for row in inverse)
+            assert alg.in_root_lattice(lam) == integral, lam
 
     @pytest.mark.parametrize("typ", all_types(), ids=str)
     def test_short_root_norms(self, typ):
@@ -231,7 +244,7 @@ class TestRootWalk:
     def test_one_dominant_root_per_length_is_checked(self):
         alg = liealg.SimpleAlgebra(AlgebraType("G", 2))
         alg.cartan_columns
-        alg.d6 = (6, 6)  # claims one root length; G2's walk finds two dominant roots
+        vars(alg)["d6"] = (6, 6)  # claims one root length; G2's walk finds two dominant roots
         with pytest.raises(LieError, match="2 dominant roots for 1 root lengths"):
             alg.theta
 
@@ -290,6 +303,25 @@ class TestRootLattice:
         assert not a1.in_root_lattice((3,))
 
 
+class TestFrozen:
+    @pytest.mark.parametrize("name", ["dim", "dual_coxeter", "_roots", "cartan", "root_columns"])
+    def test_shared_algebra_cannot_be_changed(self, name):
+        # build_algebra hands every caller the same cached instance.
+        alg = build_algebra("B2")
+        before = getattr(alg, name)
+        with pytest.raises(AttributeError):
+            setattr(alg, name, 99)
+        with pytest.raises(AttributeError):
+            delattr(alg, name)
+        assert build_algebra("B2") is alg and getattr(alg, name) == before
+        assert (alg.dim, alg.dual_coxeter) == (10, 3)
+
+    def test_tables_still_build_on_first_use(self):
+        alg = liealg.SimpleAlgebra(AlgebraType("G", 2))
+        assert "root_columns" not in vars(alg)
+        assert alg.root_columns is alg.root_columns and "root_columns" in vars(alg)
+
+
 class TestWeightValidation:
     def test_wrong_rank_rejected(self):
         alg = build_algebra("B3")
@@ -313,6 +345,6 @@ class TestWeightValidation:
         n = MAX_TABLE_RANK + 1
         assert (alg.dim, alg.dual_coxeter) == (n * (2 * n - 1), 2 * n - 2)
         assert alg.num_positive == n * (n - 1)
-        for table in ("theta", "positive_roots_alpha", "gram", "d6", "cartan", "rho"):
+        for table in ("theta", "positive_roots_alpha", "root_columns", "d6", "cartan", "rho"):
             with pytest.raises(SizeError):
                 getattr(alg, table)

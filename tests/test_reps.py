@@ -84,7 +84,7 @@ class TestWeylDimension:
     def test_integer_table_matches_fraction_table(self, typ):
         # The rows against the Fraction table; each value at rho and each norm
         # against 6 (rho, alpha) and 6 (alpha, alpha) from the Fraction form on
-        # the root's omega-coordinates; each column against the rows.
+        # the root's omega-coordinates; the algebra's root columns against the rows.
         alg = build_algebra(typ)
         table = _weyl_data(alg)
         oracle_rows, denom = fraction_weyl_data(alg)
@@ -98,7 +98,7 @@ class TestWeylDimension:
         for a, value, norm in zip(alg.positive_roots_alpha, table.at_rho, table.norms, strict=True):
             omega = [sum(alg.cartan[t][j] * a[j] for j in range(n)) for t in range(n)]
             assert (value, norm) == (pair6([1] * n, omega), pair6(omega, omega)), a
-        assert table.columns == tuple(
+        assert alg.root_columns == tuple(
             tuple((r, row[i]) for r, row in enumerate(oracle_rows) if row[i]) for i in range(n)
         )
         for lam in [fundamental(alg, i) for i in range(1, alg.rank + 1)] + [alg.rho]:
@@ -164,6 +164,18 @@ class TestCasimir:
         for t in ("A3", "B4", "C3", "D5", "G2", "F4", "E6"):
             alg = build_algebra(t)
             assert casimir(alg, alg.theta) == 2 * alg.dual_coxeter
+
+    @pytest.mark.parametrize("typ", constructible_types(8), ids=str)
+    def test_matches_the_fraction_form(self, typ):
+        # (lam, lam + 2 rho) = sum_ij lam_i (omega_i, omega_j) (lam_j + 2) by the
+        # Fraction Gram matrix, against the sum over the roots.
+        alg = build_algebra(typ)
+        form = fraction_form(alg)
+        k = min(alg.rank, 3)
+        for head in itertools.product(range(3), repeat=k):
+            lam = head + (0,) * (alg.rank - k)
+            want = sum(x * g * (y + 2) for x, row in zip(lam, form) for g, y in zip(row, lam))
+            assert casimir(alg, lam) == want, lam
 
 
 class TestDynkinIndex:
