@@ -448,19 +448,6 @@ def _cmd_qseries(args) -> Handler:
 # parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """Accept the global flags after the subcommand too.
-
-    SUPPRESS keeps a leaf parse from clobbering a value already parsed at the
-    root (argparse subparser defaults override earlier values otherwise).
-    """
-    p.add_argument(
-        "--format", choices=("table", "json"), default=argparse.SUPPRESS, help=argparse.SUPPRESS
-    )
-    p.add_argument("--catalog", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-    p.add_argument("--out", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lieconf",
@@ -476,7 +463,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info = algebra_sub.add_parser("info", help="rank, dimension, roots, labels")
     p_info.add_argument("type")
     p_info.set_defaults(handler=_cmd_algebra_info)
-    _add_common(p_info)
 
     p_rep = sub.add_parser("rep", help="highest-weight module computations")
     rep_sub = p_rep.add_subparsers(dest="rep_op", required=True)
@@ -489,13 +475,11 @@ def _build_parser() -> argparse.ArgumentParser:
                 "--convention", choices=("normalized", "killing"), default="normalized"
             )
         p.set_defaults(handler=_cmd_rep, rep_op=op)
-        _add_common(p)
     p_tensor = rep_sub.add_parser("tensor")
     p_tensor.add_argument("type")
     p_tensor.add_argument("w1")
     p_tensor.add_argument("w2")
     p_tensor.set_defaults(handler=_cmd_rep_tensor)
-    _add_common(p_tensor)
 
     p_branch = sub.add_parser("branch", help="adjoint branchings of embeddings")
     branch_sub = p_branch.add_subparsers(dest="branch_op", required=True)
@@ -504,7 +488,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dual.add_argument("n", type=int)
     p_dual.add_argument("m", type=int)
     p_dual.set_defaults(handler=_cmd_branch)
-    _add_common(p_dual)
 
     p_conf = sub.add_parser("conformal", help="candidate levels and balance checks")
     conf_sub = p_conf.add_subparsers(dest="conf_op", required=True)
@@ -513,12 +496,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--ambient", help="ambient algebra type, e.g. E8")
     p_solve.add_argument("--factors", help="comma-separated TYPE[^INDEX] factors")
     p_solve.set_defaults(handler=_cmd_conformal_solve)
-    _add_common(p_solve)
     p_check = conf_sub.add_parser("check")
     p_check.add_argument("--case", required=True)
     p_check.add_argument("--level", required=True, help='rational level, e.g. "-5/2"')
     p_check.set_defaults(handler=_cmd_conformal_check)
-    _add_common(p_check)
 
     p_classify = sub.add_parser("classify", help="classification drivers")
     p_classify.add_argument(
@@ -531,7 +512,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument(
         "--max-rank", type=int, default=argparse.SUPPRESS, help="rank bound (sl-irreducible)")
     p_classify.set_defaults(handler=_cmd_classify, late=late_type)
-    _add_common(p_classify)
 
     p_q = sub.add_parser("qseries", help="character series and identity checks")
     q_sub = p_q.add_subparsers(dest="qop", required=True)
@@ -540,43 +520,40 @@ def _build_parser() -> argparse.ArgumentParser:
     late_ell = p_char.add_argument("ell", nargs="?", type=int)
     p_char.add_argument("--order", type=int, default=32)
     p_char.set_defaults(handler=_cmd_qseries, qop="char", late=late_ell)
-    _add_common(p_char)
     p_verify = q_sub.add_parser("verify")
     p_verify.add_argument("identity", choices=IDENTITY_NAMES)
     p_verify.add_argument("--order", type=int, default=50)
     p_verify.set_defaults(handler=_cmd_qseries, qop="verify")
-    _add_common(p_verify)
 
     return parser
 
 
-def _glue_level_values(argv: Sequence[str]) -> list:
-    """Join ``--level -5/3`` into ``--level=-5/3``.
+ROOT_FLAGS = ("--format", "--catalog", "--out")
 
-    argparse only recognizes ``-<digits>`` and ``-<digits>.<digits>`` as
-    negative-number values; a fraction like ``-5/3`` would be rejected as an
-    unknown option even though negative rational levels are the common case.
-    """
-    out = []
+
+def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv.  Each root flag given by its exact name (``--format json``
+    or ``--format=json``) moves to the front, in order, for the root parser to
+    read, and ``--level -5/3`` becomes ``--level=-5/3``: argparse takes only
+    ``-<digits>`` and ``-<digits>.<digits>`` as negative numbers.  After
+    argparse, a leaf's optional positional (its ``late`` action,
+    ``classify``'s TYPE or ``qseries char``'s ell) may follow the leaf's
+    options: before Python 3.12 argparse leaves it unset there and refuses its
+    value as unrecognized.  Any other leftover token is refused."""
+    front, rest = [], []
     tokens = iter(argv)
     for token in tokens:
         if token == "--level":
             value = next(tokens, None)
-            if value is None:
-                out.append(token)
-            else:
-                out.append(f"--level={value}")
+            rest.append(token if value is None else f"--level={value}")
+        elif token in ROOT_FLAGS:
+            value = next(tokens, None)
+            if value is None:  # moved to the front, it would take the subcommand
+                parser.error(f"argument {token}: expected one argument")
+            front += (token, value)
         else:
-            out.append(token)
-    return out
-
-
-def _parse(parser: argparse.ArgumentParser, argv: Sequence[str]) -> argparse.Namespace:
-    """Parse argv, letting a leaf's optional positional (its ``late`` action,
-    ``classify``'s TYPE or ``qseries char``'s ell) follow the leaf's options:
-    before Python 3.12 argparse leaves it unset there and refuses its value as
-    unrecognized.  Any other leftover token is refused."""
-    args, extras = parser.parse_known_args(_glue_level_values(argv))
+            (front if token.partition("=")[0] in ROOT_FLAGS else rest).append(token)
+    args, extras = parser.parse_known_args(front + rest)
     late = getattr(args, "late", None)
     is_value = extras and (not extras[0].startswith("-") or extras[0][1:].isdigit())
     if is_value and late is not None and getattr(args, late.dest) is None:

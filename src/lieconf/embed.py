@@ -42,6 +42,7 @@ import os
 import re
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -92,6 +93,13 @@ class _SubalgebraSpecFields(NamedTuple):
     groups: Tuple[Tuple[int, ...], ...] = ()
 
 
+@lru_cache(maxsize=None)
+def _critical_levels(factors: Tuple[Tuple[AlgebraType, Fraction], ...]) -> Tuple[Fraction, ...]:
+    # One tuple per distinct factor list: a classification run builds the
+    # same few specs many times and reads each one's levels several times.
+    return tuple(Fraction(-build_algebra(t).dual_coxeter) / j for t, j in factors)
+
+
 class SubalgebraSpec(_SubalgebraSpecFields):
     """Simple factors of a semisimple subalgebra, each with its embedding index.
 
@@ -138,7 +146,7 @@ class SubalgebraSpec(_SubalgebraSpecFields):
     @property
     def critical_levels(self) -> Tuple[Fraction, ...]:
         """Per slot, the ambient level k = -h_vee / j at which it is critical."""
-        return tuple(Fraction(-build_algebra(t).dual_coxeter) / j for t, j in self.factors)
+        return _critical_levels(self.factors)
 
     def describe(self) -> str:
         return " x ".join(str(typ) if idx == 1 else f"{typ}^{idx}" for typ, idx in self.factors)

@@ -534,10 +534,45 @@ class TestQseries:
 
 
 class TestFlagsAndIO:
-    def test_format_flag_accepted_before_and_after_subcommand(self):
-        _, before, _ = run(["--format", "json", "algebra", "info", "D4"])
-        _, after, _ = run(["algebra", "info", "D4", "--format", "json"])
-        assert before == after
+    @pytest.mark.parametrize("before, after", [
+        ("--format json algebra info D4", "algebra info D4 --format json"),
+        ("--format json algebra info D4", "algebra info D4 --format=json"),
+        ("--format json algebra info D4", "--form json algebra info D4"),
+        ("--out {tmp}/o.txt rep dim F4 0,0,0,1", "rep dim F4 0,0,0,1 --out {tmp}/o.txt"),
+        ("--catalog {tmp}/cat.json classify exceptional",
+         "classify exceptional --catalog {tmp}/cat.json"),
+        ("--format json conformal check --case G2xA1-in-F4 --level -5/2",
+         "conformal check --case G2xA1-in-F4 --format json --level -5/2"),
+        ("--format json classify table1 B3 --bound 2",
+         "classify table1 --bound 2 --format=json B3"),
+        ("--format json algebra info D4", "--format table algebra info D4 --format json"),
+        ("algebra info D4", "--format json algebra info D4 --format table"),
+    ], ids=["format", "equals-form", "abbreviated-at-the-root", "out", "catalog", "before-level",
+            "before-late-type", "later-wins", "later-wins-table"])
+    def test_root_flag_reads_the_same_before_and_after_the_leaf(self, tmp_path, before, after):
+        (tmp_path / "cat.json").write_text(json.dumps([toy_entry()]))
+        written = tmp_path / "o.txt"
+        results = []
+        for line in (before, after):
+            code, out, err = run(line.format(tmp=tmp_path).split())
+            results.append((code, out, err, written.exists() and written.read_text()))
+            written.unlink(missing_ok=True)
+        assert results[0] == results[1]
+        code, out, err, text = results[0]
+        assert code == 0 and err == "" and (out or text)
+
+    @pytest.mark.parametrize("argv, message", [
+        ("algebra info A1 --format", "argument --format: expected one argument"),
+        ("classify global --out", "argument --out: expected one argument"),
+        ("conformal check --case G2-in-B3 --catalog", "argument --catalog: expected one argument"),
+        ("algebra info A1 --form json", "unrecognized arguments: --form json"),
+        ("classify global --form json", "unrecognized arguments: --form json"),
+    ])
+    def test_root_flag_after_the_leaf_without_a_value_or_abbreviated_is_refused(
+            self, argv, message):
+        code, out, err = run(argv.split())
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == f"lieconf: error: {message}"
 
     def test_out_writes_file_instead_of_stdout(self, tmp_path):
         target = tmp_path / "report.json"

@@ -12,7 +12,7 @@ from hypothesis import example, given, strategies as st
 
 from lieconf.liealg import AlgebraType, LieError, build_algebra
 from lieconf import embed, liealg, reps
-from lieconf.conformal import solve_levels
+from lieconf.conformal import global_report, solve_levels, table2_rows
 from lieconf.reps import NotACharacter, freudenthal_weights, irreps_of_dim, product_dim, weyl_dim
 from lieconf.embed import (
     DUAL_PAIR_FAMILIES,
@@ -529,6 +529,32 @@ class TestValueTypeContracts:
             grouped._replace(factors=((a1, 1), (c3, 4)))
         with pytest.raises(LieError, match=message):
             SubalgebraSpec._make((spec.factors, "", ((0,), (1, 2))))
+
+    def test_replace_yields_the_new_factors_levels(self):
+        a1, c3 = AlgebraType("A", 1), AlgebraType("C", 3)
+        spec = SubalgebraSpec(((a1, 2), (c3, 4)))
+        moved = spec._replace(factors=((a1, 1), (c3, Fraction(1, 2))))
+        assert moved.critical_levels == (Fraction(-2), Fraction(-8))
+        assert spec.critical_levels == (Fraction(-1), Fraction(-1))
+
+    def test_cached_levels_are_minus_h_vee_over_j_for_every_report_spec(self, monkeypatch):
+        # h_vee from the standard table, not from a built algebra.
+        classical = {"A": lambda n: n + 1, "B": lambda n: 2 * n - 1,
+                     "C": lambda n: n + 1, "D": lambda n: 2 * n - 2}
+        exceptional = {("E", 6): 12, ("E", 7): 18, ("E", 8): 30, ("F", 4): 9, ("G", 2): 4}
+
+        def h_vee(t):
+            return exceptional.get(tuple(t)) or classical[t.family](t.rank)
+
+        cached, read = embed._critical_levels, set()
+        monkeypatch.setattr(embed, "_critical_levels", lambda f: read.add(f) or cached(f))
+        table2_rows()
+        global_report(load_catalog())
+        assert len(read) > 30
+        for factors in read:
+            levels = cached(factors)
+            assert levels is cached(factors)
+            assert levels == tuple(Fraction(-h_vee(t)) / j for t, j in factors)
 
     @pytest.mark.parametrize("index, shown", [(0, "0"), (Fraction(-1, 2), "-1/2")])
     def test_non_positive_index_keeps_its_message(self, index, shown):
