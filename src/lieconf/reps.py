@@ -10,7 +10,6 @@ components are tuples of per-factor highest weights.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -344,38 +343,25 @@ def decompose_weight_system(alg_product: Sequence[SimpleAlgebra], ws) -> Decompo
     subtracts the full character of the corresponding irreducible.
     """
     algs = tuple(alg_product)
-    entries = dict(ws.entries if isinstance(ws, WeightSystem) else ws)
-    _check_dim("multiset size", sum(entries.values()))
+    entries = ws.entries if isinstance(ws, WeightSystem) else ws
+    remaining = {w: m for w, m in entries.items() if m}
+    _check_dim("multiset size", sum(remaining.values()))
     form = height_form(algs)
-
-    # Max-heap on (height, coordinates); each weight's height is computed once.
-    def entry(w: Coords) -> tuple:
-        return (-sum(c * t for c, t in zip(w, form)), tuple(-x for x in w), w)
-
     comps: Dict[Tuple[Coords, ...], int] = {}
-    remaining = {k: v for k, v in entries.items() if v}
-    heap = [entry(w) for w in remaining]
-    heapq.heapify(heap)
-    while heap:
-        top = heapq.heappop(heap)[2]
-        m = remaining.get(top)
-        if m is None:
-            continue
+    while remaining:
+        top = max(remaining, key=lambda w: (sum(map(mul, w, form)), w))
+        m = remaining[top]
         if m < 0:
             raise NotACharacter(f"negative multiplicity {m} at {top}")
         parts = split_coords(algs, top)
         if not all(a.is_dominant(p) for a, p in zip(algs, parts)):
             raise NotACharacter(f"maximal weight {top} is not dominant")
         comps[parts] = m
-        char = product_weight_system(algs, parts)
-        for w, cm in char.items():
-            old = remaining.get(w)
-            new = (old or 0) - m * cm
+        for w, cm in product_weight_system(algs, parts).items():
+            new = remaining.get(w, 0) - m * cm
             if new:
                 remaining[w] = new
-                if old is None:
-                    heapq.heappush(heap, entry(w))
-            elif old is not None:
+            else:
                 del remaining[w]
     return Decomposition(algs, comps)
 

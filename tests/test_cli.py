@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 from unittest import mock
@@ -394,6 +395,27 @@ def test_an_argument_the_command_does_not_read_is_refused(argv, named):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rep", "dim", "A2", "x,1"], "is not a comma-separated integer tuple"),
+        (["rep", "dim", "A2", "1,-1"], "must be dominant"),
+        (["conformal", "solve", "--ambient", "E8", "--factors", ","],
+         "--factors needs at least one TYPE[^INDEX] token"),
+        (["conformal", "solve"], "needs --case LABEL or --ambient TYPE --factors SPEC"),
+        (["classify", "table1"], "needs an algebra TYPE argument"),
+        (["classify", "sl-irreducible", "--max-rank", "1"], "max_rank must be at least 2"),
+        # k = g: both central charges are the same function of the level
+        (["conformal", "solve", "--ambient", "A1", "--factors", "A1"],
+         "charge-matching equation is identically zero"),
+    ],
+)
+def test_a_refused_input_names_its_fault(argv, message):
+    code, out, err = run(argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
     "argv, default",
     [(["classify", "table1", "B3"], ["--bound", "3"]),
      (["classify", "sl-irreducible"], ["--max-rank", "8"])],
@@ -513,6 +535,20 @@ class TestQseries:
         code, doc = run_json(["qseries", "verify", "delta_eta", "--order", "40"])
         assert code == 0
         assert doc["verified"] is True and doc["mismatch"] is None
+
+    def test_failed_identity_names_its_first_mismatch(self, monkeypatch):
+        # sides first differ at grid index 2; with shift 1/4 over denominator 2
+        # that is q^((2 + 1/4) / 2) = q^(9/8)
+        from lieconf import qseries
+
+        monkeypatch.setattr(
+            qseries, "_identity_grid", lambda which, order: ([1, 0, 1], [1, 0, 2], 2, Fraction(1, 4))
+        )
+        code, out, err = run(["--format", "json", "qseries", "verify", "thm92", "--order", "5"])
+        doc = json.loads(out)
+        assert code == 1 and err == ""
+        assert doc["title"] == "thm92: FAILED at q^9/8"
+        assert doc["verified"] is False and doc["mismatch"] == "9/8"
 
     def test_unknown_identity_is_a_usage_error(self):
         assert run(["qseries", "verify", "eq93", "--order", "20"])[0] == 2

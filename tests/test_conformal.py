@@ -607,6 +607,16 @@ class TestNecessaryConstants:
         with pytest.raises(LieError):
             necessary_constants("symplectic", 10, 5)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [(("orthogonal", 0, 7), "dimensions must be positive"),
+         (("linear", 8, 3, "*"), "sign must be")],
+        ids=["zero-dimension", "linear-sign"],
+    )
+    def test_bad_arguments_rejected(self, args, message):
+        with pytest.raises(LieError, match=message):
+            necessary_constants(*args)
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(LieError):
             necessary_constants("unitary", 3, 4)

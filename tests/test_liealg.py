@@ -328,6 +328,11 @@ class TestWeightValidation:
         with pytest.raises(LieError):
             alg.check_weight((1, 0))
 
+    @pytest.mark.parametrize("i", [0, 4], ids=["zero", "rank+1"])
+    def test_fundamental_index_out_of_range(self, i):
+        with pytest.raises(LieError, match="out of range"):
+            fundamental(build_algebra("B3"), i)
+
     def test_large_classical_rank_builds(self):
         alg = build_algebra("B12")
         assert alg.dim == 300

@@ -195,6 +195,10 @@ class TestRingLaws:
         assert half.coefficient(Fraction(3, 2)) == -5
         assert half.order_exponent == 3
 
+    def test_substitution_exponent_must_be_positive(self):
+        with pytest.raises(SeriesError, match="must be positive"):
+            PuiseuxSeries.from_terms({1: 2}, 6).substitute(0, 1)
+
     def test_truncate_keeps_low_coefficients_and_refuses_to_extend(self):
         s = PuiseuxSeries.from_terms({0: 1, 2: 7}, 6)
         t = s.truncate(3)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieconf.embed import DUAL_PAIR_FAMILIES, dual_pair_branching
-from lieconf.liealg import build_algebra, constructible_types, fundamental
+from lieconf.liealg import LieError, build_algebra, constructible_types, fundamental
 from lieconf.reps import (
     Decomposition,
     NotACharacter,
@@ -24,6 +24,7 @@ from lieconf.reps import (
     pair_weights,
     product_dim,
     product_weight_system,
+    split_coords,
     square_decompose,
     tensor_decompose,
     weyl_dim,
@@ -43,6 +44,9 @@ from oracles import (
     tuple_adjoint_weights,
 )
 from test_embed import grid_cells, verify_arguments
+
+# the products the peel round trip draws from
+PEEL_PRODUCTS = [("A2",), ("B2",), ("G2",), ("A1", "A2")]
 
 
 class TestWeylDimension:
@@ -103,6 +107,11 @@ class TestWeylDimension:
         )
         for lam in [fundamental(alg, i) for i in range(1, alg.rank + 1)] + [alg.rho]:
             assert weyl_dim(alg, lam) == fraction_weyl_dim(alg, lam)
+
+    @pytest.mark.parametrize("lam", [(-1, 0), (Fraction(1, 2), 0)], ids=["negative", "fractional"])
+    def test_non_dominant_integral_weight_is_refused(self, lam):
+        with pytest.raises(LieError, match="not a dominant integral weight"):
+            weyl_dim(build_algebra("A2"), lam)
 
 
 def _sparse_and_dense_weights(alg, rng):
@@ -219,6 +228,10 @@ class TestDynkinIndex:
             for comp, mult in tensor_decompose(alg, lam, mu).components.items()
         )
         assert total == lhs
+
+    def test_unknown_convention_is_refused(self):
+        with pytest.raises(LieError, match="unknown index convention"):
+            dynkin_index(build_algebra("A2"), (1, 0), convention="bogus")
 
 
 class TestDualWeight:
@@ -428,6 +441,16 @@ class TestProductSystems:
         ws = product_weight_system((a1, b2), ((2,), (1, 0)))
         assert sum(ws.values()) == 3 * 5
 
+    def test_one_highest_weight_per_factor(self):
+        algs = (build_algebra("A1"), build_algebra("B2"))
+        with pytest.raises(LieError, match="one highest weight per factor"):
+            product_weight_system(algs, ((2,),))
+
+    def test_single_needs_one_factor(self):
+        decomp = Decomposition((build_algebra("A1"), build_algebra("A1")), {((1,), (1,)): 1})
+        with pytest.raises(LieError, match="one-factor"):
+            decomp.single()
+
     def test_decompose_weight_system_roundtrip(self):
         a2 = build_algebra("A2")
         ws = product_weight_system((a2,), ((1, 1),))
@@ -451,10 +474,35 @@ class TestProductSystems:
         want = sorted(comps, key=lambda c: (-height(c), c))
         assert [c for c, _ in decomp.sorted_items()] == want
 
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_peel_returns_the_components_it_was_built_from(self, data):
+        # a sum of 1-4 distinct irreducible characters, each 1-3 times, peels
+        # back into exactly those components, as the Fraction oracle does
+        algs = tuple(map(build_algebra, data.draw(st.sampled_from(PEEL_PRODUCTS))))
+        rank = sum(a.rank for a in algs)
+        tops = data.draw(
+            st.lists(st.tuples(*[st.integers(0, 2)] * rank), min_size=1, max_size=4, unique=True)
+        )
+        stated = {split_coords(algs, w): data.draw(st.integers(1, 3)) for w in tops}
+        ws = {}
+        for comp, m in stated.items():
+            for w, cm in product_weight_system(algs, comp).items():
+                ws[w] = ws.get(w, 0) + m * cm
+        assert decompose_weight_system(algs, ws).components == stated == fraction_decompose(algs, ws)
+
     def test_non_character_rejected(self):
+        # L(omega_1) of A2 has the weights (1,0), (-1,1), (0,-1); peeling it
+        # leaves (-1,1) at -1, a weight the input never had
         a2 = build_algebra("A2")
-        with pytest.raises(NotACharacter):
+        with pytest.raises(NotACharacter, match=r"negative multiplicity -1 at \(-1, 1\)"):
             decompose_weight_system((a2,), {(1, 0): 1, (0, 0): 1})
+
+    def test_non_dominant_maximal_weight_rejected(self):
+        # (-1, 2) has height 6 (w, 2 rho) = 12 over the 0 of (0, 0)
+        a2 = build_algebra("A2")
+        with pytest.raises(NotACharacter, match=r"maximal weight \(-1, 2\) is not dominant"):
+            decompose_weight_system((a2,), {(-1, 2): 1, (0, 0): 1})
 
 
 class TestIrrepsOfDim:

@@ -45,6 +45,11 @@ class TestSquarefreeExtract:
             if d % (p * p) == 0:
                 raise AssertionError(f"{d} is divisible by {p}^2")
 
+    def test_zero_and_negative(self):
+        assert squarefree_extract(0) == (0, 0)
+        with pytest.raises(ValueError, match="n >= 0"):
+            squarefree_extract(-1)
+
 
 class TestQuadraticNumber:
     def test_rational_collapse(self):
@@ -119,6 +124,19 @@ class TestQuadraticNumber:
         assert x + r == x + quad(r, 0, d)
         assert x * r == quad(a * r, b * r, d)
         assert r + x == x + r and r * x == x * r
+
+    def test_guards(self):
+        with pytest.raises(ValueError, match="negative radicand"):
+            QuadraticNumber(1, 1, -2)
+        with pytest.raises(ValueError, match="irrational"):
+            quad(1, 1, 2).to_fraction()
+        with pytest.raises(ZeroDivisionError, match="inverse of zero"):
+            QuadraticNumber(0).inverse()
+
+    def test_rational_over_surd_divides_through_rtruediv(self):
+        # Fraction / QuadraticNumber returns NotImplemented from Fraction, as
+        # ap_check meets it at a surd level: 1/2 / (1 + sqrt 2) = (sqrt 2 - 1) / 2
+        assert Fraction(1, 2) / QuadraticNumber(1, 1, 2) == quad(Fraction(-1, 2), Fraction(1, 2), 2)
 
 
 class TestQuadraticNormalForm:
